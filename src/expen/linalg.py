@@ -1,6 +1,8 @@
 """Dense linear-algebra substrate: symmetrization, economic SVD, tridiagonal solves.
 
-Everything here is a pure function of its inputs; nothing mutates shared state.
+Everything here is a pure function of its inputs. The one piece of state is
+the Cholesky factor a TridiagMatrix caches on its first solve; it is a pure
+function of the matrix, whose entries are read-only.
 """
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, NumericalError
 
@@ -87,13 +89,14 @@ def econ_svd(X):
 class TridiagMatrix:
     """Symmetric tridiagonal matrix stored by its diagonal and subdiagonal.
 
-    Solves go through a banded Cholesky factorization, O(n) per right-hand
-    side, so applying the inverse never forms a dense matrix.
+    The entries are copied and read-only. Solves go through a Cholesky
+    factorization that is computed on the first solve and kept, O(n) per
+    right-hand side, so applying the inverse never forms a dense matrix.
     """
 
     def __init__(self, diag, sub):
-        diag = np.asarray(diag, dtype=float)
-        sub = np.asarray(sub, dtype=float)
+        diag = np.array(diag, dtype=float)
+        sub = np.array(sub, dtype=float)
         if diag.ndim != 1 or sub.ndim != 1:
             raise DimensionError("diag and sub must be 1-dimensional")
         if diag.shape[0] < 1:
@@ -102,9 +105,12 @@ class TridiagMatrix:
             raise DimensionError(
                 f"sub must have length n-1, got {sub.shape[0]} for n={diag.shape[0]}"
             )
+        diag.setflags(write=False)
+        sub.setflags(write=False)
         self.n = diag.shape[0]
         self.diag = diag
         self.sub = sub
+        self._factor = None  # LAPACK ?pttrf output (d, e), set by the first solve
 
     def dense(self):
         """Materialize as a dense n x n array (test and desk-scale use only)."""
@@ -131,12 +137,20 @@ class TridiagMatrix:
         w[1:] += s * v[:-1]
         return w
 
-    def _banded(self):
-        # upper banded storage: row 0 holds the superdiagonal shifted right
-        ab = np.zeros((2, self.n))
-        ab[0, 1:] = self.sub
-        ab[1, :] = self.diag
-        return ab
+    def _cholesky(self):
+        # A failed factorization is never cached, so every solve with an
+        # indefinite matrix raises.
+        factor = self._factor
+        if factor is None:
+            if not (np.isfinite(self.diag).all() and np.isfinite(self.sub).all()):
+                raise ValueError("array must not contain infs or NaNs")
+            d, e, info = dpttrf(self.diag, self.sub)
+            if info != 0:
+                raise NotPositiveDefiniteError(
+                    "banded Cholesky failed; the matrix is not positive definite"
+                )
+            factor = self._factor = (d, e)
+        return factor
 
 
 def laplacian_1d(n):
@@ -150,6 +164,10 @@ def tridiag_solve(T, rhs):
     """Solve T z = rhs for a positive definite TridiagMatrix, O(n) work.
 
     rhs may be a vector (n,) or a block (n, k); the result has the same shape.
+    The factor is LAPACK's ?pttrf and the solve its ?pttrs, the two halves of
+    the ?ptsv that scipy.linalg.solveh_banded calls for tridiagonal input, so
+    the result is bit-identical to solveh_banded. As there, a non-finite rhs
+    raises ValueError.
     """
     if not isinstance(T, TridiagMatrix):
         raise DimensionError("tridiag_solve expects a TridiagMatrix")
@@ -163,9 +181,7 @@ def tridiag_solve(T, rhs):
                 "banded Cholesky failed; the matrix is not positive definite"
             )
         return rhs / T.diag[0]
-    try:
-        return scipy.linalg.solveh_banded(T._banded(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "banded Cholesky failed; the matrix is not positive definite"
-        ) from exc
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    d, e = T._cholesky()
+    return dpttrs(d, e, rhs)[0]

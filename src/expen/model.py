@@ -9,13 +9,13 @@ unconstrained minimization of
 which agrees with f on the manifold. The gradient and Hessian-vector oracles
 below are closed-form: one objective gradient (or Hessian-vector) call plus a
 fixed number of n x p by p x p products per evaluation. X^T X, the mapped
-point X A(X), and the mapped gradient are computed once per call and shared
-across terms.
+point X A(X), and the mapped gradient are computed once per point and shared
+by every oracle called there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,14 +70,11 @@ def _check_point(X, n, p, name="X"):
     return X
 
 
-def _as_pair(X, D):
+def _check_tall(X, name):
     X = np.asarray(X, dtype=float)
-    D = np.asarray(D, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise DimensionError(f"point must be n x p with n >= p, got {X.shape}")
-    if D.shape != X.shape:
-        raise DimensionError(f"direction shape {D.shape} does not match point shape {X.shape}")
-    return X, D
+        raise DimensionError(f"{name} expects n x p with n >= p, got {X.shape}")
+    return X
 
 
 def apen_map(X):
@@ -85,9 +82,7 @@ def apen_map(X):
 
     Fixes every column-orthonormal X.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise DimensionError(f"apen_map expects n x p with n >= p, got {X.shape}")
+    X = _check_tall(X, "apen_map")
     S = X.T @ X
     return 1.5 * X - 0.5 * (X @ S)
 
@@ -97,7 +92,8 @@ def jx_apply(X, D):
 
     Linear and self-adjoint in D.
     """
-    X, D = _as_pair(X, D)
+    X = _check_tall(X, "jx_apply")
+    D = _check_point(D, *X.shape, "D")
     S = X.T @ X
     return 1.5 * D - 0.5 * (D @ S) - X @ sym(D.T @ X)
 
@@ -135,11 +131,20 @@ def default_beta(obj, X0):
 class ExPenModel:
     """The penalty oracle h, grad h, and hess h [D] for a SmoothObjective.
 
-    Immutable; all oracle calls are pure given a pure objective.
+    Immutable and observably pure given a pure objective. The oracles share
+    a one-entry memo keyed on the exact bits of the last point X: it holds
+    S = X^T X, R = S - I, the mapped point Y = X A(X) and, once some oracle
+    has asked for it, G = grad f(Y). A hit returns the same bits as a miss,
+    because the memo only skips recomputing expressions that are written
+    and evaluated exactly as on a miss, whatever order value, grad and
+    hess_vec are called in. Each new entry is published as one immutable
+    tuple in a single assignment, so a model can be shared between threads;
+    concurrent callers at different points only evict each other's entry.
     """
 
     objective: SmoothObjective
     beta: float
+    _memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.objective, SmoothObjective):
@@ -155,12 +160,32 @@ class ExPenModel:
     def p(self):
         return self.objective.p
 
+    def _at(self, X, with_grad=False):
+        """The memo entry (key, S, R, Y, G) for a checked point X.
+
+        G is None until an oracle passes with_grad=True at this point.
+        """
+        key = X.tobytes()
+        entry = self._memo
+        if entry is None or entry[0] != key:
+            S = X.T @ X
+            R = S - np.eye(self.p)
+            Y = 1.5 * X - 0.5 * (X @ S)
+            for M in (S, R, Y):
+                M.setflags(write=False)
+            entry = (key, S, R, Y, None)
+            object.__setattr__(self, "_memo", entry)
+        if with_grad and entry[4] is None:
+            G = np.asarray(self.objective.gradient(entry[3]), dtype=float)
+            entry = entry[:4] + (G,)
+            object.__setattr__(self, "_memo", entry)
+        return entry
+
     def value(self, X):
         """h(X) = f(X A(X)) + (beta/4) ||X^T X - I||_F^2."""
         X = _check_point(X, self.n, self.p)
-        S = X.T @ X
-        R = S - np.eye(self.p)
-        fv = float(self.objective.value(1.5 * X - 0.5 * (X @ S)))
+        _, S, R, Y, _ = self._at(X)
+        fv = float(self.objective.value(Y))
         return fv + 0.25 * self.beta * float(np.vdot(R, R))
 
     def grad(self, X):
@@ -171,9 +196,7 @@ class ExPenModel:
         Riemannian gradient of f whenever X is column-orthonormal.
         """
         X = _check_point(X, self.n, self.p)
-        S = X.T @ X
-        R = S - np.eye(self.p)
-        G = np.asarray(self.objective.gradient(1.5 * X - 0.5 * (X @ S)), dtype=float)
+        _, S, R, _, G = self._at(X, with_grad=True)
         return 1.5 * G - 0.5 * (G @ S) - X @ sym(X.T @ G) + self.beta * (X @ R)
 
     def hess_vec(self, X, D):
@@ -188,10 +211,7 @@ class ExPenModel:
             raise CapabilityError("objective provides no hess_vec oracle")
         X = _check_point(X, self.n, self.p)
         D = _check_point(D, self.n, self.p, "D")
-        S = X.T @ X
-        R = S - np.eye(self.p)
-        Y = 1.5 * X - 0.5 * (X @ S)
-        G = np.asarray(self.objective.gradient(Y), dtype=float)
+        _, S, R, Y, G = self._at(X, with_grad=True)
         JD = 1.5 * D - 0.5 * (D @ S) - X @ sym(D.T @ X)
         HJD = np.asarray(self.objective.hess_vec(Y, JD), dtype=float)
         JHJD = 1.5 * HJD - 0.5 * (HJD @ S) - X @ sym(HJD.T @ X)
@@ -202,11 +222,3 @@ class ExPenModel:
             - G @ sym(D.T @ X)
             + self.beta * (2.0 * (X @ sym(X.T @ D)) + D @ R)
         )
-
-    def g_value(self, X):
-        """Penalty-free part f(X A(X))."""
-        return smoothed_value(self.objective, X)
-
-    def g_grad(self, X):
-        """Gradient of the penalty-free part."""
-        return smoothed_grad(self.objective, X)

@@ -35,6 +35,13 @@ def nleig_make(n, p, alpha=1.0):
     tridiagonal stencil diag 2 / off -1 and rho = diag(X X^T). The inverse is
     applied by an O(n) tridiagonal solve, never formed.
 
+    value, gradient and hess_vec share a one-entry memo of L X, rho and
+    L^{-1} rho, keyed on the shape, dtype and exact bits of the last point
+    X, so asking for the value and the gradient at one point costs one
+    stencil matvec and one solve. A hit returns the same bits as a miss.
+    Each entry is published as one immutable tuple in a single assignment,
+    so the objective can be shared between threads.
+
     Parameters
     ----------
     n, p : int
@@ -48,28 +55,39 @@ def nleig_make(n, p, alpha=1.0):
     if not (alpha >= 0.0):
         raise DimensionError(f"alpha must be nonnegative, got {alpha}")
     L = laplacian_1d(n)
+    memo = None  # (key, L X, rho, L^{-1} rho) of the last point
+
+    def at(X):
+        nonlocal memo
+        X = np.asarray(X)
+        key = (X.shape, X.dtype.str, X.tobytes())
+        entry = memo
+        if entry is None or entry[0] != key:
+            LX = L.matvec(X)
+            rho = z = None
+            if alpha != 0.0:
+                rho = np.einsum("ij,ij->i", X, X)
+                z = tridiag_solve(L, rho)
+            entry = memo = (key, LX, rho, z)
+        return X, entry
 
     def value(X):
-        quad = 0.5 * inner(X, L.matvec(X))
+        X, (_, LX, rho, z) = at(X)
+        quad = 0.5 * inner(X, LX)
         if alpha == 0.0:
             return quad
-        rho = np.einsum("ij,ij->i", X, X)
-        z = tridiag_solve(L, rho)
         return quad + 0.25 * alpha * float(rho @ z)
 
     def gradient(X):
-        g = L.matvec(X)
-        if alpha != 0.0:
-            rho = np.einsum("ij,ij->i", X, X)
-            z = tridiag_solve(L, rho)
-            g = g + alpha * (z[:, None] * X)
-        return g
+        X, (_, LX, _, z) = at(X)
+        if alpha == 0.0:
+            return LX.copy()
+        return LX + alpha * (z[:, None] * X)
 
     def hess_vec(X, D):
         H = L.matvec(D)
         if alpha != 0.0:
-            rho = np.einsum("ij,ij->i", X, X)
-            z = tridiag_solve(L, rho)
+            X, (_, _, _, z) = at(X)
             # diag(X D^T + D X^T) = 2 * rowwise dot of X and D
             w = tridiag_solve(L, 2.0 * np.einsum("ij,ij->i", X, D))
             H = H + alpha * (z[:, None] * D) + alpha * (w[:, None] * X)

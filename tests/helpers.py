@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 import expen as ep
 
@@ -72,3 +73,51 @@ class CountingClock:
         value = float(self.calls)
         self.calls += 1
         return value
+
+
+def same_bits(a, b):
+    """True when a and b have the same shape, dtype and bit pattern."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_nleig(n, p, alpha):
+    """nleig_make's value, gradient and hess_vec written straight through.
+
+    Every call recomputes L X, rho and L^{-1} rho, and the solves go through
+    scipy.linalg.solveh_banded on the stencil's upper banded storage. The
+    memoised objective must reproduce these bits.
+    """
+    L = ep.laplacian_1d(n)
+    ab = np.zeros((2, n))
+    ab[0, 1:] = -1.0
+    ab[1, :] = 2.0
+    solve = lambda rhs: scipy.linalg.solveh_banded(ab, rhs)
+
+    def value(X):
+        quad = 0.5 * ep.inner(X, L.matvec(X))
+        if alpha == 0.0:
+            return quad
+        rho = np.einsum("ij,ij->i", X, X)
+        z = solve(rho)
+        return quad + 0.25 * alpha * float(rho @ z)
+
+    def gradient(X):
+        g = L.matvec(X)
+        if alpha != 0.0:
+            rho = np.einsum("ij,ij->i", X, X)
+            z = solve(rho)
+            g = g + alpha * (z[:, None] * X)
+        return g
+
+    def hess_vec(X, D):
+        H = L.matvec(D)
+        if alpha != 0.0:
+            rho = np.einsum("ij,ij->i", X, X)
+            z = solve(rho)
+            w = solve(2.0 * np.einsum("ij,ij->i", X, D))
+            H = H + alpha * (z[:, None] * D) + alpha * (w[:, None] * X)
+        return H
+
+    return ep.SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)

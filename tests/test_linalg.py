@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import expen as ep
 from expen.exceptions import DimensionError, NotPositiveDefiniteError, NumericalError
 
-from helpers import stiefel
+from helpers import same_bits, stiefel
 
 
 class TestSym:
@@ -134,6 +135,8 @@ class TestTridiag:
         T = ep.TridiagMatrix(diag=np.array([2.0]), sub=np.zeros(0))
         assert_allclose(ep.tridiag_solve(T, np.array([4.0])), np.array([2.0]),
                         rtol=0, atol=0)
+        assert_allclose(ep.tridiag_solve(T, np.array([[2.0, -8.0]])), np.array([[1.0, -4.0]]),
+                        rtol=0, atol=0)
 
     def test_zero_rhs(self):
         T = ep.laplacian_1d(6)
@@ -160,9 +163,11 @@ class TestTridiag:
         assert ep.fnorm(T.matvec(x) - rhs) <= 1e-9 * (1.0 + ep.fnorm(rhs))
 
     def test_indefinite_raises(self):
+        # on every solve: a failed factorization is never cached
         T = ep.TridiagMatrix(diag=np.array([1.0, -5.0, 1.0]), sub=np.array([2.0, 2.0]))
-        with pytest.raises(NotPositiveDefiniteError):
-            ep.tridiag_solve(T, np.ones(3))
+        for rhs in (np.ones(3), np.ones((3, 2)), np.zeros(3)):
+            with pytest.raises(NotPositiveDefiniteError):
+                ep.tridiag_solve(T, rhs)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -172,6 +177,42 @@ class TestTridiag:
             ep.tridiag_solve(T, np.zeros(4))
         with pytest.raises(DimensionError):
             T.matvec(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("n", [2, 250, 4000])
+    def test_bit_identical_to_solveh_banded(self, n):
+        rng = np.random.default_rng(n)
+        sub = rng.uniform(-1.0, 1.0, size=n - 1)
+        diag = np.abs(rng.standard_normal(n)) + 2.5
+        T = ep.TridiagMatrix(diag=diag, sub=sub)
+        ab = np.zeros((2, n))
+        ab[0, 1:] = sub
+        ab[1, :] = diag
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                    rng.standard_normal((n, 50)), rng.standard_normal(n)):
+            x = ep.tridiag_solve(T, rhs)
+            assert same_bits(x, scipy.linalg.solveh_banded(ab, rhs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        with pytest.raises(ValueError):
+            ep.tridiag_solve(ep.TridiagMatrix(diag=[2.0, bad, 2.0], sub=[-1.0, -1.0]), np.ones(3))
+        T = ep.laplacian_1d(5)
+        rhs = np.ones(5)
+        rhs[2] = bad
+        with pytest.raises(ValueError):
+            ep.tridiag_solve(T, rhs)
+        with pytest.raises(ValueError):
+            ep.tridiag_solve(T, np.column_stack([np.ones(5), rhs]))
+        # the failed call leaves the matrix usable
+        assert_allclose(T.matvec(ep.tridiag_solve(T, np.ones(5))), np.ones(5), rtol=1e-14)
+
+    def test_entries_are_copied_and_read_only(self):
+        diag = np.full(4, 2.0)
+        T = ep.TridiagMatrix(diag=diag, sub=np.full(3, -1.0))
+        diag[0] = -1.0  # the caller's array is not the matrix
+        assert T.diag[0] == 2.0
+        with pytest.raises(ValueError):
+            T.diag[0] = 7.0
 
     def test_not_positive_definite_is_numerical_error(self):
         assert issubclass(NotPositiveDefiniteError, NumericalError)

@@ -1,6 +1,9 @@
 """Tests for the smooth objective container and the exact-penalty oracle."""
 
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 from expen.exceptions import CapabilityError, DimensionError
 
-from helpers import near_stiefel, stiefel
+from helpers import near_stiefel, reference_nleig, same_bits, stiefel
 
 
 def _selection(n, p):
@@ -278,3 +281,172 @@ class TestModelMetadata:
         model = ep.ExPenModel(objective=ep.constant_make(3, 2), beta=2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.beta = 5.0
+
+
+# The penalty oracles written straight through, the reference whose bits the
+# memoised model must reproduce: every call recomputes X^T X, the mapped
+# point and its gradient.
+def _ref_value(obj, beta, X):
+    S = X.T @ X
+    R = S - np.eye(obj.p)
+    fv = float(obj.value(1.5 * X - 0.5 * (X @ S)))
+    return fv + 0.25 * beta * float(np.vdot(R, R))
+
+
+def _ref_grad(obj, beta, X):
+    S = X.T @ X
+    R = S - np.eye(obj.p)
+    G = np.asarray(obj.gradient(1.5 * X - 0.5 * (X @ S)), dtype=float)
+    return 1.5 * G - 0.5 * (G @ S) - X @ ep.sym(X.T @ G) + beta * (X @ R)
+
+
+def _ref_hess_vec(obj, beta, X, D):
+    S = X.T @ X
+    R = S - np.eye(obj.p)
+    Y = 1.5 * X - 0.5 * (X @ S)
+    G = np.asarray(obj.gradient(Y), dtype=float)
+    JD = 1.5 * D - 0.5 * (D @ S) - X @ ep.sym(D.T @ X)
+    HJD = np.asarray(obj.hess_vec(Y, JD), dtype=float)
+    JHJD = 1.5 * HJD - 0.5 * (HJD @ S) - X @ ep.sym(HJD.T @ X)
+    return (
+        JHJD
+        - D @ ep.sym(X.T @ G)
+        - X @ ep.sym(D.T @ G)
+        - G @ ep.sym(D.T @ X)
+        + beta * (2.0 * (X @ ep.sym(X.T @ D)) + D @ R)
+    )
+
+
+def _nleig_case(alpha):
+    def make(n, p):
+        return ep.nleig_make(n, p, alpha=alpha), reference_nleig(n, p, alpha)
+    return make
+
+
+def _brockett_case(n, p):
+    obj = ep.brockett_make(ep.random_symmetric(n, 3), ep.random_symmetric(p, 4))
+    return obj, obj
+
+
+_CASES = {"nleig-alpha0": _nleig_case(0.0), "nleig-alpha1": _nleig_case(1.0), "brockett": _brockett_case}
+
+
+class TestMemoBitIdentity:
+    """Memo hits and misses return the bits of the straight-through oracles."""
+
+    n, p, beta = 7, 3, 3.0
+
+    def _setup(self, case, seed=0):
+        obj, ref = _CASES[case](self.n, self.p)
+        model = ep.ExPenModel(obj, beta=self.beta)
+        X = 1.3 * near_stiefel(self.n, self.p, seed)
+        return model, ref, X
+
+    def _check_value(self, model, ref, X):
+        assert same_bits(model.value(X), _ref_value(ref, self.beta, X))
+
+    def _check_grad(self, model, ref, X):
+        assert same_bits(model.grad(X), _ref_grad(ref, self.beta, X))
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_value_then_grad(self, case):
+        model, ref, X = self._setup(case)
+        self._check_value(model, ref, X)
+        self._check_grad(model, ref, X)
+        self._check_value(model, ref, X)
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_grad_then_value(self, case):
+        model, ref, X = self._setup(case)
+        self._check_grad(model, ref, X)
+        self._check_value(model, ref, X)
+        self._check_grad(model, ref, X)
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_hess_vec_columns_with_direction_mutated_in_place(self, case):
+        # the access pattern of assemble_hessian: one X, one buffer E
+        model, ref, X = self._setup(case)
+        E = np.zeros((self.n, self.p))
+        for j in range(self.n * self.p):
+            E.flat[j] = 1.0
+            assert same_bits(model.hess_vec(X, E), _ref_hess_vec(ref, self.beta, X, E))
+            E.flat[j] = 0.0
+        self._check_value(model, ref, X)
+        self._check_grad(model, ref, X)
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_alternating_points(self, case):
+        model, ref, X1 = self._setup(case, seed=1)
+        X2 = 0.9 * near_stiefel(self.n, self.p, seed=2)
+        D = np.random.default_rng(5).standard_normal((self.n, self.p))
+        for X in (X1, X2, X1, X2, X2, X1):
+            self._check_value(model, ref, X)
+            self._check_grad(model, ref, X)
+            assert same_bits(model.hess_vec(X, D), _ref_hess_vec(ref, self.beta, X, D))
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_point_mutated_in_place_misses(self, case):
+        model, ref, X = self._setup(case, seed=3)
+        self._check_value(model, ref, X)
+        X[2, 1] = np.nextafter(X[2, 1], np.inf)  # one last-bit change
+        self._check_grad(model, ref, X)
+        self._check_value(model, ref, X)
+        X[0, 0] = -0.0 if X[0, 0] == 0.0 else -X[0, 0]
+        self._check_value(model, ref, X)
+        self._check_grad(model, ref, X)
+
+    def test_returned_gradient_is_not_the_memo(self):
+        # a caller mutating a returned gradient must not corrupt the memo
+        model, ref, X = self._setup("nleig-alpha0")
+        g = model.grad(X)
+        g[:] = np.nan
+        self._check_grad(model, ref, X)
+        self._check_value(model, ref, X)
+
+    def test_threads_sharing_one_model_agree_with_single_thread(self):
+        # More threads than cores call one nleig objective and one model at a
+        # handful of points, with the interpreter switching threads often.
+        n, p, beta = 30, 4, 5.0
+        obj = ep.nleig_make(n, p, alpha=1.0)
+        model = ep.ExPenModel(obj, beta=beta)
+        ref = reference_nleig(n, p, 1.0)
+        points = [1.1 * stiefel(n, p, s) for s in range(4)]
+        D = np.random.default_rng(11).standard_normal((n, p))
+        oracles = [
+            (model.value, lambda X: _ref_value(ref, beta, X)),
+            (model.grad, lambda X: _ref_grad(ref, beta, X)),
+            (lambda X: model.hess_vec(X, D), lambda X: _ref_hess_vec(ref, beta, X, D)),
+            (obj.value, ref.value),
+            (obj.gradient, ref.gradient),
+            (lambda X: obj.hess_vec(X, D), lambda X: ref.hess_vec(X, D)),
+        ]
+        expected = [[reference(X) for _, reference in oracles] for X in points]
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    i = int(rng.integers(len(points)))
+                    k = int(rng.integers(len(oracles)))
+                    if not same_bits(oracles[k][0](points[i]), expected[i][k]):
+                        errors.append((seed, i, k))
+            except Exception as exc:  # reported by the assert below
+                errors.append((seed, repr(exc)))
+
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        threads = [threading.Thread(target=worker, args=(s,), daemon=True) for s in range(cores + 4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 from expen.exceptions import DimensionError
 
-from helpers import stiefel
+from helpers import reference_nleig, same_bits, stiefel
 
 
 class TestNleig:
@@ -60,6 +60,65 @@ class TestNleig:
             ep.nleig_make(2, 3)
         with pytest.raises(DimensionError):
             ep.nleig_make(4, 2, alpha=-0.5)
+
+
+class TestNleigMemo:
+    """The memo shared by value, gradient and hess_vec returns the bits of
+    the straight-through formulas in every call order."""
+
+    n, p = 9, 3
+
+    def _setup(self, alpha, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((self.n, self.p))
+        return ep.nleig_make(self.n, self.p, alpha), reference_nleig(self.n, self.p, alpha), X
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_value_then_gradient_and_back(self, alpha):
+        obj, ref, X = self._setup(alpha)
+        assert same_bits(obj.value(X), ref.value(X))
+        assert same_bits(obj.gradient(X), ref.gradient(X))
+        assert same_bits(obj.value(X), ref.value(X))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_gradient_then_value(self, alpha):
+        obj, ref, X = self._setup(alpha)
+        assert same_bits(obj.gradient(X), ref.gradient(X))
+        assert same_bits(obj.value(X), ref.value(X))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_hess_vec_with_direction_mutated_in_place(self, alpha):
+        obj, ref, X = self._setup(alpha)
+        E = np.zeros((self.n, self.p))
+        for j in range(self.n * self.p):
+            E.flat[j] = 1.0
+            assert same_bits(obj.hess_vec(X, E), ref.hess_vec(X, E))
+            E.flat[j] = 0.0
+        assert same_bits(obj.gradient(X), ref.gradient(X))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alternating_points(self, alpha):
+        obj, ref, X1 = self._setup(alpha, seed=1)
+        X2 = 2.0 * X1[::-1].copy()
+        D = np.ones((self.n, self.p))
+        for X in (X1, X2, X1, X1, X2):
+            assert same_bits(obj.value(X), ref.value(X))
+            assert same_bits(obj.gradient(X), ref.gradient(X))
+            assert same_bits(obj.hess_vec(X, D), ref.hess_vec(X, D))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_point_mutated_in_place_misses(self, alpha):
+        obj, ref, X = self._setup(alpha, seed=2)
+        assert same_bits(obj.value(X), ref.value(X))
+        X[4, 2] = np.nextafter(X[4, 2], -np.inf)
+        assert same_bits(obj.gradient(X), ref.gradient(X))
+        assert same_bits(obj.value(X), ref.value(X))
+
+    def test_returned_gradient_is_not_the_memo(self):
+        obj, ref, X = self._setup(0.0)
+        obj.gradient(X)[:] = np.nan
+        assert same_bits(obj.gradient(X), ref.gradient(X))
+        assert same_bits(obj.value(X), ref.value(X))
 
 
 class TestBrockett:
