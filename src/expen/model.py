@@ -77,14 +77,23 @@ def _check_tall(X, name):
     return X
 
 
+def _mapped(X, S):
+    """X A(X), given S = X^T X."""
+    return 1.5 * X - 0.5 * (X @ S)
+
+
+def _jac(X, S, D):
+    """The Jacobian of the smoothing map at X applied to D, given S = X^T X."""
+    return 1.5 * D - 0.5 * (D @ S) - X @ sym(D.T @ X)
+
+
 def apen_map(X):
     """The smoothing map X -> X A(X) with A(X) = (3/2) I - (1/2) X^T X.
 
     Fixes every column-orthonormal X.
     """
     X = _check_tall(X, "apen_map")
-    S = X.T @ X
-    return 1.5 * X - 0.5 * (X @ S)
+    return _mapped(X, X.T @ X)
 
 
 def jx_apply(X, D):
@@ -94,8 +103,7 @@ def jx_apply(X, D):
     """
     X = _check_tall(X, "jx_apply")
     D = _check_point(D, *X.shape, "D")
-    S = X.T @ X
-    return 1.5 * D - 0.5 * (D @ S) - X @ sym(D.T @ X)
+    return _jac(X, X.T @ X, D)
 
 
 def smoothed_value(obj, X):
@@ -112,8 +120,8 @@ def smoothed_grad(obj, X):
     """
     X = _check_point(X, obj.n, obj.p)
     S = X.T @ X
-    G = np.asarray(obj.gradient(1.5 * X - 0.5 * (X @ S)), dtype=float)
-    return 1.5 * G - 0.5 * (G @ S) - X @ sym(X.T @ G)
+    G = np.asarray(obj.gradient(_mapped(X, S)), dtype=float)
+    return _jac(X, S, G)
 
 
 def default_beta(obj, X0):
@@ -170,7 +178,7 @@ class ExPenModel:
         if entry is None or entry[0] != key:
             S = X.T @ X
             R = S - np.eye(self.p)
-            Y = 1.5 * X - 0.5 * (X @ S)
+            Y = _mapped(X, S)
             for M in (S, R, Y):
                 M.setflags(write=False)
             entry = (key, S, R, Y, None)
@@ -197,7 +205,7 @@ class ExPenModel:
         """
         X = _check_point(X, self.n, self.p)
         _, S, R, _, G = self._at(X, with_grad=True)
-        return 1.5 * G - 0.5 * (G @ S) - X @ sym(X.T @ G) + self.beta * (X @ R)
+        return _jac(X, S, G) + self.beta * (X @ R)
 
     def hess_vec(self, X, D):
         """Closed-form Hessian of h applied to a direction D.
@@ -212,11 +220,9 @@ class ExPenModel:
         X = _check_point(X, self.n, self.p)
         D = _check_point(D, self.n, self.p, "D")
         _, S, R, Y, G = self._at(X, with_grad=True)
-        JD = 1.5 * D - 0.5 * (D @ S) - X @ sym(D.T @ X)
-        HJD = np.asarray(self.objective.hess_vec(Y, JD), dtype=float)
-        JHJD = 1.5 * HJD - 0.5 * (HJD @ S) - X @ sym(HJD.T @ X)
+        HJD = np.asarray(self.objective.hess_vec(Y, _jac(X, S, D)), dtype=float)
         return (
-            JHJD
+            _jac(X, S, HJD)
             - D @ sym(X.T @ G)
             - X @ sym(D.T @ G)
             - G @ sym(D.T @ X)

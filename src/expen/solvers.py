@@ -106,8 +106,8 @@ class SolverReport:
     final_point, fval, stationarity, and feasibility describe the iterate
     after projection onto the manifold; raw_point and the raw_* fields keep
     the last iterate as the loop left it, so certified-bound checks can see
-    both sides. descent_held and step_bound_held audit the convergence
-    theory's per-step preconditions (strict descent; eta*||D|| <= 1/24).
+    both sides. step_bound_held audits the convergence theory's per-step
+    precondition eta*||D|| <= 1/24.
     """
 
     final_point: np.ndarray
@@ -120,7 +120,6 @@ class SolverReport:
     raw_point: np.ndarray
     raw_grad_h_norm: float
     raw_feasibility: float
-    descent_held: bool
     step_bound_held: bool
     trace: Optional[tuple] = None
 
@@ -190,7 +189,6 @@ def _descent_loop(model, X0, config, use_cg, clock):
     gD = -(gnorm * gnorm)
 
     trace = [] if config.trace_enabled else None
-    descent_held = True
     step_bound_held = True
     eta_prev = None
     gD_prev = None
@@ -213,8 +211,6 @@ def _descent_loop(model, X0, config, use_cg, clock):
             D = -g
             dnorm = gnorm
             gD = -(gnorm * gnorm)
-        if gD >= 0.0:
-            descent_held = False
 
         if eta_prev is None:
             trial = config.initial_step
@@ -307,7 +303,6 @@ def _descent_loop(model, X0, config, use_cg, clock):
         raw_point=X,
         raw_grad_h_norm=gnorm,
         raw_feasibility=raw_feas,
-        descent_held=descent_held,
         step_bound_held=step_bound_held,
         trace=tuple(trace) if trace is not None else None,
     )

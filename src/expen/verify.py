@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotStationaryError, NumericalError
-from .geometry import riemannian_grad, tangent_project
+from .geometry import _require_feasible, riemannian_grad
 from .linalg import fnorm, inner, sym
 from .model import ExPenModel, apen_map, jx_apply, smoothed_grad
 from .problems import constant_make
@@ -130,28 +130,22 @@ def assemble_hessian(model, X):
 def tangent_basis(X):
     """Orthonormal tangent-space basis at feasible X, columns of an (np, dim) array.
 
-    Built by projecting the canonical basis matrices onto the tangent space
-    and running modified Gram-Schmidt (two passes), discarding images below
-    1e-10. The resulting dimension must equal np - p(p+1)/2.
+    Closed form: the tangent space is {X Omega + X_perp K : Omega skew}, with
+    X_perp the last n - p columns of a complete QR of X. In row-major vec the
+    columns are kron(X, I_p) vec(e_i e_j^T - e_j e_i^T) / sqrt(2) for i < j,
+    then kron(X_perp, I_p); dim = np - p(p+1)/2. Raises FeasibilityError when
+    ||X^T X - I||_F > 1e-8.
     """
-    X = np.asarray(X, dtype=float)
+    X = _require_feasible(X, "tangent_basis")
     n, p = X.shape
-    dim = n * p - p * (p + 1) // 2
-    cols = []
-    E = np.zeros((n, p))
-    for j in range(n * p):
-        E.flat[j] = 1.0
-        v = tangent_project(X, E).ravel()
-        E.flat[j] = 0.0
-        for _ in range(2):
-            for b in cols:
-                v = v - (b @ v) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            cols.append(v / nv)
-    if len(cols) != dim:
-        raise NumericalError(f"tangent basis has {len(cols)} vectors, expected {dim}")
-    return np.column_stack(cols)
+    X_perp = np.linalg.qr(X, mode="complete")[0][:, p:]
+    i, j = np.triu_indices(p, k=1)
+    cols = np.arange(i.size)
+    skew = np.zeros((p * p, i.size))
+    skew[i * p + j, cols] = np.sqrt(0.5)
+    skew[j * p + i, cols] = -np.sqrt(0.5)
+    eye = np.eye(p)
+    return np.hstack([np.kron(X, eye) @ skew, np.kron(X_perp, eye)])
 
 
 def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum"):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expen as ep
-from expen.exceptions import DimensionError, NotStationaryError
+from expen.exceptions import DimensionError, FeasibilityError, NotStationaryError
 
 from helpers import stiefel
 
@@ -149,7 +149,7 @@ class TestAssembleHessian:
 
 
 class TestTangentBasis:
-    @pytest.mark.parametrize("shape", [(5, 2), (7, 3), (6, 6)])
+    @pytest.mark.parametrize("shape", [(5, 2), (7, 3), (6, 6), (60, 6), (4, 4), (5, 1)])
     def test_dimension_and_orthonormality(self, shape):
         n, p = shape
         Q = stiefel(n, p, seed=n + p)
@@ -164,6 +164,29 @@ class TestTangentBasis:
         for i in range(B.shape[1]):
             D = B[:, i].reshape(6, 3)
             assert ep.fnorm(ep.sym(D.T @ Q)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(60, 6), (7, 3), (4, 4), (5, 1)])
+    def test_spans_the_tangent_projector(self, shape):
+        n, p = shape
+        Q = stiefel(n, p, seed=3 * n + p)
+        B = ep.tangent_basis(Q)
+        # column j of the projector is tangent_project applied to the j-th
+        # canonical matrix in row-major order
+        P = np.empty((n * p, n * p))
+        E = np.zeros((n, p))
+        for j in range(n * p):
+            E.flat[j] = 1.0
+            P[:, j] = ep.tangent_project(Q, E).ravel()
+            E.flat[j] = 0.0
+        assert_allclose(B @ B.T, P, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(60, 6), (7, 3), (4, 4), (5, 1)])
+    def test_infeasible_point_raises(self, shape):
+        n, p = shape
+        X = stiefel(n, p, seed=n + 2 * p) * (1.0 + 1e-7)
+        assert ep.feasibility(X) > 1e-8
+        with pytest.raises(FeasibilityError):
+            ep.tangent_basis(X)
 
 
 class TestSpectrumCorrespondence:
