@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,14 +62,14 @@ class RunSpec:
             raise DimensionError(f"unknown solver {self.solver!r}, expected one of {tuple(_SOLVERS)}")
         if not (self.n >= self.p >= 1):
             raise DimensionError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
-        if self.problem == "nleig" and not (self.alpha >= 0.0):
-            raise DimensionError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.problem == "nleig" and not (0.0 <= self.alpha < math.inf):
+            raise DimensionError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if self.seed < 0:
             raise DimensionError(f"seed must be nonnegative, got {self.seed}")
         if self.repeats < 1:
             raise DimensionError(f"repeats must be >= 1, got {self.repeats}")
-        if self.beta_override is not None and not (self.beta_override > 0.0):
-            raise DimensionError(f"beta must be positive, got {self.beta_override}")
+        if self.beta_override is not None and not (0.0 < self.beta_override < math.inf):
+            raise DimensionError(f"beta must be positive and finite, got {self.beta_override}")
         if not (self.grad_tol >= 0.0):
             raise DimensionError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if self.max_iters < 1:

@@ -167,21 +167,25 @@ def tridiag_solve(T, rhs):
     The factor is LAPACK's ?pttrf and the solve its ?pttrs, the two halves of
     the ?ptsv that scipy.linalg.solveh_banded calls for tridiagonal input, so
     the result is bit-identical to solveh_banded. As there, a non-finite rhs
-    raises ValueError.
+    or matrix entry raises ValueError, for every n.
     """
     if not isinstance(T, TridiagMatrix):
         raise DimensionError("tridiag_solve expects a TridiagMatrix")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != T.n:
         raise DimensionError(f"rhs has leading dimension {rhs.shape[0]}, expected {T.n}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
     if T.n == 1:
-        # LAPACK's banded path rejects 1x1 systems, so handle them directly.
-        if T.diag[0] <= 0.0:
+        # SciPy's ?pttrf and ?pttrs wrappers reject an empty subdiagonal, so
+        # solve 1x1 systems directly, with the checks of _cholesky.
+        d = T.diag[0]
+        if not np.isfinite(d):
+            raise ValueError("array must not contain infs or NaNs")
+        if d <= 0.0:
             raise NotPositiveDefiniteError(
                 "banded Cholesky failed; the matrix is not positive definite"
             )
-        return rhs / T.diag[0]
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
+        return rhs / d
     d, e = T._cholesky()
     return dpttrs(d, e, rhs)[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,10 +40,6 @@ _MAX_EXPANSIONS = 200
 _TRIAL_MIN = 1e-12
 _TRIAL_MAX = 1e6
 
-# Step-size bound whose violation is logged (never enforced): the convergence
-# theory assumes eta * ||D|| stays below this.
-_STEP_NORM_BOUND = 1.0 / 24.0
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -51,13 +47,14 @@ class SolverConfig:
 
     delta and sigma are the sufficient-decrease and curvature constants of
     the strong Wolfe conditions, constrained to 0 < delta <= sigma <= 1/2.
+    The solvers stop once ||grad h||_F <= grad_tol or after max_iters
+    iterations, and keep one IterTrace row per iteration when trace_enabled.
     """
 
     delta: float = 1e-4
     sigma: float = 0.4
     grad_tol: float = 1e-3
     max_iters: int = 10000
-    initial_step: float = 1.0
     trace_enabled: bool = False
 
     def __post_init__(self):
@@ -69,8 +66,6 @@ class SolverConfig:
             raise DimensionError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if not (self.max_iters >= 1):
             raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.initial_step > 0.0):
-            raise DimensionError(f"initial_step must be positive, got {self.initial_step}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,7 @@ class SolverReport:
     final_point, fval, stationarity, and feasibility describe the iterate
     after projection onto the manifold; raw_point and the raw_* fields keep
     the last iterate as the loop left it, so certified-bound checks can see
-    both sides. step_bound_held audits the convergence theory's per-step
-    precondition eta*||D|| <= 1/24.
+    both sides.
     """
 
     final_point: np.ndarray
@@ -120,22 +114,29 @@ class SolverReport:
     raw_point: np.ndarray
     raw_grad_h_norm: float
     raw_feasibility: float
-    step_bound_held: bool
     trace: Optional[tuple] = None
 
 
-def strong_wolfe(phi, dphi, config):
+def strong_wolfe(phi, dphi, config, initial_step=1.0):
     """Find a step satisfying the strong Wolfe conditions for phi.
 
     Conditions at the returned eta:
         phi(eta) <= phi(0) + delta * eta * dphi(0)
         |dphi(eta)| <= -sigma * dphi(0)
 
-    Bracketing starts from config.initial_step and doubles; an interval
+    Bracketing starts from initial_step and doubles; an interval
     containing acceptable points is then refined by bisection. Raises
-    NonDescentError when dphi(0) >= 0, LineSearchError when the trial step
-    exceeds 1e10 or refinement exhausts its budget.
+    DimensionError when initial_step is not positive, NonDescentError when
+    dphi(0) >= 0, LineSearchError when the trial step exceeds 1e10 or
+    refinement exhausts its budget.
+
+    Call order, which callers may rely on: after dphi(0) and phi(0), each
+    dphi(t) comes right after phi(t) at the same t, and the returned eta is
+    the last t passed to both. A caller can therefore keep only the latest
+    trial and read the accepted point from it.
     """
+    if not (initial_step > 0.0):
+        raise DimensionError(f"initial_step must be positive, got {initial_step}")
     d0 = dphi(0.0)
     if d0 >= 0.0:
         raise NonDescentError(f"directional derivative at 0 is {d0:.3e}, not a descent direction")
@@ -158,7 +159,7 @@ def strong_wolfe(phi, dphi, config):
         raise LineSearchError(f"zoom exhausted after {_MAX_ZOOM} refinements")
 
     t_prev, f_prev = 0.0, f0
-    t = config.initial_step
+    t = initial_step
     for expansion in range(_MAX_EXPANSIONS):
         if t > _STEP_CAP:
             raise LineSearchError(f"trial step {t:.3e} exceeded cap {_STEP_CAP:.0e}")
@@ -186,10 +187,41 @@ def _descent_loop(model, X0, config, use_cg, clock):
     g = model.grad(X)
     gnorm = fnorm(g)
     D = -g
-    gD = -(gnorm * gnorm)
 
     trace = [] if config.trace_enabled else None
-    step_bound_held = True
+
+    def record(step, dir_norm, zoutendijk):
+        trace.append(
+            IterTrace(
+                k=k,
+                h_val=h,
+                grad_h_norm=gnorm,
+                feas=feasibility(X),
+                step=step,
+                dir_norm=dir_norm,
+                zoutendijk=zoutendijk,
+                f_val=float(obj.value(X)),
+            )
+        )
+
+    # X + t*D, h and grad h at the latest trial step t of the line search;
+    # by strong_wolfe's call order it is the accepted point once it returns
+    last = None
+
+    def phi(t):
+        nonlocal last
+        if t == 0.0:
+            return h
+        Xt = X + t * D
+        last = [Xt, model.value(Xt), None]
+        return last[1]
+
+    def dphi(t):
+        if t == 0.0:
+            return inner(g, D)
+        last[2] = model.grad(last[0])
+        return inner(last[2], D)
+
     eta_prev = None
     gD_prev = None
     termination = Termination.MAX_ITERS
@@ -213,57 +245,21 @@ def _descent_loop(model, X0, config, use_cg, clock):
             gD = -(gnorm * gnorm)
 
         if eta_prev is None:
-            trial = config.initial_step
+            trial = 1.0
         else:
             trial = eta_prev * gD_prev / gD
             trial = min(max(trial, _TRIAL_MIN), _TRIAL_MAX)
 
-        fcache = {}
-        gcache = {}
-
-        def phi(t, X=X, D=D, h=h):
-            if t == 0.0:
-                return h
-            if t not in fcache:
-                fcache[t] = model.value(X + t * D)
-            return fcache[t]
-
-        def dphi(t, X=X, D=D, g=g):
-            if t == 0.0:
-                return inner(g, D)
-            if t not in gcache:
-                gcache[t] = model.grad(X + t * D)
-            return inner(gcache[t], D)
-
         try:
-            eta = strong_wolfe(phi, dphi, replace(config, initial_step=trial))
+            eta = strong_wolfe(phi, dphi, config, initial_step=trial)
         except LineSearchError:
             termination = Termination.LINE_SEARCH_FAILURE
             break
 
         if trace is not None:
-            trace.append(
-                IterTrace(
-                    k=k,
-                    h_val=h,
-                    grad_h_norm=gnorm,
-                    feas=feasibility(X),
-                    step=eta,
-                    dir_norm=dnorm,
-                    zoutendijk=(gD * gD) / (dnorm * dnorm),
-                    f_val=float(obj.value(X)),
-                )
-            )
-        if eta * dnorm > _STEP_NORM_BOUND:
-            step_bound_held = False
+            record(eta, dnorm, (gD * gD) / (dnorm * dnorm))
 
-        X = X + eta * D
-        h = fcache.get(eta)
-        if h is None:
-            h = model.value(X)
-        g_next = gcache.get(eta)
-        if g_next is None:
-            g_next = model.grad(X)
+        X, h, g_next = last
         gnorm_next = fnorm(g_next)
 
         if use_cg:
@@ -276,18 +272,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
         k += 1
 
     if trace is not None:
-        trace.append(
-            IterTrace(
-                k=k,
-                h_val=h,
-                grad_h_norm=gnorm,
-                feas=feasibility(X),
-                step=0.0,
-                dir_norm=0.0,
-                zoutendijk=0.0,
-                f_val=float(obj.value(X)),
-            )
-        )
+        record(0.0, 0.0, 0.0)
 
     wall = clock() - start
     raw_feas = feasibility(X)
@@ -303,7 +288,6 @@ def _descent_loop(model, X0, config, use_cg, clock):
         raw_point=X,
         raw_grad_h_norm=gnorm,
         raw_feasibility=raw_feas,
-        step_bound_held=step_bound_held,
         trace=tuple(trace) if trace is not None else None,
     )
 

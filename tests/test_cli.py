@@ -38,6 +38,8 @@ class TestRunSpec:
             {"beta_override": 0.0},
             {"grad_tol": -1e-3},
             {"max_iters": 0},
+            {"beta_override": float("inf")},
+            {"problem": "nleig", "alpha": float("inf")},
         ],
     )
     def test_invalid_spec_rejected(self, overrides):
@@ -193,6 +195,12 @@ class TestMain:
     def test_invalid_dimensions_exit_one(self, tmp_path, capsys):
         code = ep.main(["--problem", "nleig", "--n", "2", "--p", "5",
                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "invalid run specification" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [("--beta", "inf"), ("--problem", "nleig", "--alpha", "inf")])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, extra):
+        code = ep.main(self._argv(tmp_path, *extra))
         assert code == 1
         assert "invalid run specification" in capsys.readouterr().err
 

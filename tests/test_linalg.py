@@ -205,6 +205,13 @@ class TestTridiag:
             ep.tridiag_solve(T, np.column_stack([np.ones(5), rhs]))
         # the failed call leaves the matrix usable
         assert_allclose(T.matvec(ep.tridiag_solve(T, np.ones(5))), np.ones(5), rtol=1e-14)
+        # 1x1 systems take their own path and check the same
+        with pytest.raises(ValueError):
+            ep.tridiag_solve(ep.laplacian_1d(1), np.array([bad]))
+        with pytest.raises(ValueError):
+            ep.tridiag_solve(ep.laplacian_1d(1), np.array([[1.0, bad]]))
+        with pytest.raises(ValueError):
+            ep.tridiag_solve(ep.TridiagMatrix(diag=[bad], sub=[]), np.ones(1))
 
     def test_entries_are_copied_and_read_only(self):
         diag = np.full(4, 2.0)

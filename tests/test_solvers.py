@@ -1,12 +1,11 @@
 """Tests for the strong Wolfe search and the descent solvers."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import expen as ep
+import expen.solvers
 from expen.exceptions import DimensionError, LineSearchError, NonDescentError
 
 from helpers import CountingClock, near_stiefel, stiefel
@@ -25,7 +24,6 @@ class TestSolverConfig:
             {"sigma": 0.6},
             {"grad_tol": -1.0},
             {"max_iters": 0},
-            {"initial_step": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -40,9 +38,16 @@ class TestStrongWolfe:
         assert eta == 1.0
 
     def test_first_accept_returns_initial_trial(self):
-        cfg = ep.SolverConfig(initial_step=0.95)
-        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), cfg)
+        cfg = ep.SolverConfig()
+        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), cfg,
+                              initial_step=0.95)
         assert eta == 0.95
+
+    @pytest.mark.parametrize("initial_step", [0.0, -1.0, float("nan")])
+    def test_nonpositive_initial_step_rejected(self, initial_step):
+        with pytest.raises(DimensionError):
+            ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0),
+                            ep.SolverConfig(), initial_step=initial_step)
 
     def test_non_descent_raises(self):
         cfg = ep.SolverConfig()
@@ -66,17 +71,102 @@ class TestStrongWolfe:
         assert abs(dphi(eta)) <= -cfg.sigma * d0
 
     def test_conditions_hold_on_nonquadratic(self):
-        cfg = ep.SolverConfig(initial_step=0.1)
+        cfg = ep.SolverConfig()
         phi = lambda t: np.cosh(t - 2.0)
         dphi = lambda t: np.sinh(t - 2.0)
-        eta = ep.strong_wolfe(phi, dphi, cfg)
+        eta = ep.strong_wolfe(phi, dphi, cfg, initial_step=0.1)
         assert phi(eta) <= phi(0.0) + cfg.delta * eta * dphi(0.0)
         assert abs(dphi(eta)) <= -cfg.sigma * dphi(0.0)
+
+    @pytest.mark.parametrize(
+        "phi, dphi, initial_step, path",
+        [
+            (lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), 1.0, "first"),
+            (lambda t: (t - 0.95) ** 2, lambda t: 2.0 * (t - 0.95), 0.95, "first"),
+            (lambda t: (t - 3.0) ** 2, lambda t: 2.0 * (t - 3.0), 1.0, "bracket"),
+            (lambda t: (t - 40.0) ** 2, lambda t: 2.0 * (t - 40.0), 1.0, "bracket"),
+            (lambda t: (t - 0.01) ** 2, lambda t: 2.0 * (t - 0.01), 1.0, "zoom"),
+            (lambda t: (t - 0.3) ** 2, lambda t: 2.0 * (t - 0.3), 1.0, "zoom"),
+            (lambda t: (t - 2.0) ** 2, lambda t: 2.0 * (t - 2.0), 3.9, "zoom"),
+            (lambda t: np.cosh(t - 2.0), lambda t: np.sinh(t - 2.0), 3.9, "zoom"),
+        ],
+        ids=["first", "first-warm", "bracket", "bracket-long", "zoom-near",
+             "zoom-flip", "zoom-overshoot", "zoom-cosh"],
+    )
+    def test_call_order_ends_on_accepted_step(self, phi, dphi, initial_step, path):
+        # The descent loop reads the accepted point from the last trial, so
+        # each dphi(t) must follow phi(t) at the same t, and the returned step
+        # must be the last t passed to dphi.
+        calls = []
+
+        def phi_logged(t):
+            calls.append(("phi", t))
+            return phi(t)
+
+        def dphi_logged(t):
+            calls.append(("dphi", t))
+            return dphi(t)
+
+        eta = ep.strong_wolfe(phi_logged, dphi_logged, ep.SolverConfig(),
+                              initial_step=initial_step)
+        assert calls[:2] == [("dphi", 0.0), ("phi", 0.0)]
+        trials = calls[2:]
+        for i, (name, t) in enumerate(trials):
+            if name == "dphi":
+                assert i > 0 and trials[i - 1] == ("phi", t)
+        assert trials[-2:] == [("phi", eta), ("dphi", eta)]
+        steps = [t for name, t in trials if name == "phi"]
+        doublings = [initial_step * 2.0**j for j in range(len(steps))]
+        if path == "first":
+            assert steps == [initial_step]
+        elif path == "bracket":
+            assert len(steps) > 1 and steps == doublings
+        else:
+            assert eta not in doublings
 
 
 def _penalized_nleig(n, p, beta, alpha=1.0):
     obj = ep.nleig_make(n, p, alpha=alpha)
     return ep.ExPenModel(objective=obj, beta=beta)
+
+
+@pytest.mark.parametrize("solve", [ep.frcg_solve, ep.gd_solve])
+@pytest.mark.parametrize("trace_enabled", [False, True])
+def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
+    # h and grad h are asked for once at X0 and once per line-search trial;
+    # the accepted point is never evaluated again.
+    counts = {"value": 0, "grad": 0, "phi": 0, "dphi": 0}
+
+    def counting(name, oracle):
+        def counted(model, X):
+            counts[name] += 1
+            return oracle(model, X)
+
+        return counted
+
+    monkeypatch.setattr(ep.ExPenModel, "value", counting("value", ep.ExPenModel.value))
+    monkeypatch.setattr(ep.ExPenModel, "grad", counting("grad", ep.ExPenModel.grad))
+    real_wolfe = expen.solvers.strong_wolfe
+
+    def counting_wolfe(phi, dphi, config, **kwargs):
+        def phi_c(t):
+            counts["phi"] += t != 0.0
+            return phi(t)
+
+        def dphi_c(t):
+            counts["dphi"] += t != 0.0
+            return dphi(t)
+
+        return real_wolfe(phi_c, dphi_c, config, **kwargs)
+
+    monkeypatch.setattr(expen.solvers, "strong_wolfe", counting_wolfe)
+    model = _penalized_nleig(12, 3, beta=25.0)
+    cfg = ep.SolverConfig(grad_tol=1e-6, max_iters=60, trace_enabled=trace_enabled)
+    report = solve(model, stiefel(12, 3, seed=15), cfg)
+    assert report.iterations > 10
+    assert counts["phi"] > report.iterations
+    assert counts["value"] == 1 + counts["phi"]
+    assert counts["grad"] == 1 + counts["dphi"]
 
 
 class TestFrcgSolve:
@@ -155,7 +245,7 @@ class TestFrcgSolve:
                 dnorm = gnorm
                 gD = -(gnorm * gnorm)
             if eta_prev is None:
-                trial = cfg.initial_step
+                trial = 1.0
             else:
                 trial = min(max(eta_prev * gD_prev / gD, 1e-12), 1e6)
 
@@ -166,7 +256,7 @@ class TestFrcgSolve:
                 base = g if t == 0.0 else model.grad(X + t * D)
                 return ep.inner(base, D)
 
-            eta = ep.strong_wolfe(phi, dphi, replace(cfg, initial_step=trial))
+            eta = ep.strong_wolfe(phi, dphi, cfg, initial_step=trial)
             X = X + eta * D
             h = model.value(X)
             g_next = model.grad(X)
