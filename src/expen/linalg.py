@@ -34,11 +34,11 @@ def _as_matrix(M, name="matrix"):
 
 
 def sym(M):
-    """Symmetric part (M + M^T) / 2 of a square matrix."""
-    M = _as_matrix(M, "sym operand")
-    if M.shape[0] != M.shape[1]:
-        raise DimensionError(f"sym expects a square matrix, got shape {M.shape}")
-    return 0.5 * (M + M.T)
+    """Symmetric part (M + M^T) / 2 of a square matrix, or of each in a stack (..., p, p)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionError(f"sym expects square matrices, got shape {M.shape}")
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def inner(A, B):
@@ -121,21 +121,17 @@ class TridiagMatrix:
         return T
 
     def matvec(self, v):
-        """Apply the matrix to a vector (n,) or a block of columns (n, k)."""
+        """Apply the matrix to a vector (n,), or along axis -2 of a block (..., n, k)."""
         v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n:
-            raise DimensionError(f"operand has leading dimension {v.shape[0]}, expected {self.n}")
-        d = self.diag
-        s = self.sub
-        if v.ndim == 2:
-            d = d[:, None]
-            s = s[:, None]
-        elif v.ndim != 1:
-            raise DimensionError("matvec operand must be 1- or 2-dimensional")
-        w = d * v
-        w[:-1] += s * v[1:]
-        w[1:] += s * v[:-1]
-        return w
+        u = v[:, None] if v.ndim == 1 else v
+        if u.ndim < 2 or u.shape[-2] != self.n:
+            raise DimensionError(f"operand has shape {v.shape}, expected ({self.n},) or (..., {self.n}, k)")
+        d = self.diag[:, None]
+        s = self.sub[:, None]
+        w = d * u
+        w[..., :-1, :] += s * u[..., 1:, :]
+        w[..., 1:, :] += s * u[..., :-1, :]
+        return w.reshape(v.shape)
 
     def _cholesky(self):
         # A failed factorization is never cached, so every solve with an

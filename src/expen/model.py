@@ -47,9 +47,10 @@ class SmoothObjective:
     gradient : callable
         X -> n x p array, the Euclidean gradient.
     hess_vec : callable, optional
-        (X, D) -> n x p array, the Euclidean Hessian applied to D. Absent
-        for first-order-only objectives; second-order operations then raise
-        CapabilityError instead of silently finite-differencing.
+        (X, D) -> the Euclidean Hessian applied to D, where D is one
+        direction (n, p) or a stack (k, n, p); the result has D's shape.
+        Absent for first-order-only objectives; second-order operations then
+        raise CapabilityError instead of silently finite-differencing.
     """
 
     n: int
@@ -63,10 +64,11 @@ class SmoothObjective:
             raise DimensionError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
 
 
-def _check_point(X, n, p, name="X"):
+def _check_point(X, n, p, name="X", stack=False):
     X = np.asarray(X, dtype=float)
-    if X.shape != (n, p):
-        raise DimensionError(f"{name} must have shape ({n}, {p}), got {X.shape}")
+    if X.shape[-2:] != (n, p) or X.ndim > 2 + stack:
+        shapes = f"({n}, {p}) or (k, {n}, {p})" if stack else f"({n}, {p})"
+        raise DimensionError(f"{name} must have shape {shapes}, got {X.shape}")
     return X
 
 
@@ -83,8 +85,8 @@ def _mapped(X, S):
 
 
 def _jac(X, S, D):
-    """The Jacobian of the smoothing map at X applied to D, given S = X^T X."""
-    return 1.5 * D - 0.5 * (D @ S) - X @ sym(D.T @ X)
+    """The Jacobian of the smoothing map at X applied to D or to each slice of a stack D."""
+    return 1.5 * D - 0.5 * (D @ S) - X @ sym(D.swapaxes(-1, -2) @ X)
 
 
 def apen_map(X):
@@ -208,23 +210,23 @@ class ExPenModel:
         return _jac(X, S, G) + self.beta * (X @ R)
 
     def hess_vec(self, X, D):
-        """Closed-form Hessian of h applied to a direction D.
+        """Closed-form Hessian of h applied to a direction D (n, p) or a stack (k, n, p).
 
         Requires the objective to provide hess_vec; the objective Hessian is
         evaluated at the mapped point X A(X) and sandwiched between two
         Jacobian applications, followed by the curvature terms of the map and
-        of the penalty.
+        of the penalty. Each slice of a stack gets the bits of its own call.
         """
         if self.objective.hess_vec is None:
             raise CapabilityError("objective provides no hess_vec oracle")
         X = _check_point(X, self.n, self.p)
-        D = _check_point(D, self.n, self.p, "D")
+        D = _check_point(D, self.n, self.p, "D", stack=True)
         _, S, R, Y, G = self._at(X, with_grad=True)
         HJD = np.asarray(self.objective.hess_vec(Y, _jac(X, S, D)), dtype=float)
         return (
             _jac(X, S, HJD)
             - D @ sym(X.T @ G)
-            - X @ sym(D.T @ G)
-            - G @ sym(D.T @ X)
+            - X @ sym(D.swapaxes(-1, -2) @ G)
+            - G @ sym(D.swapaxes(-1, -2) @ X)
             + self.beta * (2.0 * (X @ sym(X.T @ D)) + D @ R)
         )

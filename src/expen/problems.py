@@ -88,9 +88,10 @@ def nleig_make(n, p, alpha=1.0):
         H = L.matvec(D)
         if alpha != 0.0:
             X, (_, _, _, z) = at(X)
-            # diag(X D^T + D X^T) = 2 * rowwise dot of X and D
-            w = tridiag_solve(L, 2.0 * np.einsum("ij,ij->i", X, D))
-            H = H + alpha * (z[:, None] * D) + alpha * (w[:, None] * X)
+            # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
+            v = 2.0 * np.einsum("ij,...ij->...i", X, D)
+            w = np.moveaxis(tridiag_solve(L, np.moveaxis(v, -1, 0)), 0, -1)
+            H = H + alpha * (z[:, None] * D) + alpha * (w[..., None] * X)
         return H
 
     return SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
@@ -132,7 +133,7 @@ def constant_make(n, p, level=0.0):
         p=p,
         value=lambda X: float(level),
         gradient=zero,
-        hess_vec=lambda X, D: np.zeros((n, p)),
+        hess_vec=lambda X, D: np.zeros(np.shape(D)),
     )
 
 
@@ -147,7 +148,7 @@ def linear_make(C):
         p=p,
         value=lambda X: inner(C, X),
         gradient=lambda X: C.copy(),
-        hess_vec=lambda X, D: np.zeros((n, p)),
+        hess_vec=lambda X, D: np.zeros(np.shape(D)),
     )
 
 

@@ -106,9 +106,10 @@ def assemble_hessian(model, X):
     """Materialize the penalty Hessian at X as a symmetric (np) x (np) matrix.
 
     Column j is the vectorized hess_vec applied to the j-th canonical basis
-    matrix (row-major flattening). Guarded to np <= 2000; the raw assembly
-    must already be symmetric to 1e-8 relative, and the symmetrized matrix is
-    returned.
+    matrix (row-major flattening), from one stacked hess_vec call per column
+    c of X over its n directions e_i e_c^T. Guarded to np <= 2000; the raw
+    assembly must already be symmetric to 1e-8 relative, and the symmetrized
+    matrix is returned.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -116,11 +117,11 @@ def assemble_hessian(model, X):
     if dim > 2000:
         raise DimensionError(f"dense Hessian assembly capped at np <= 2000, got {dim}")
     H = np.empty((dim, dim))
-    E = np.zeros((n, p))
-    for j in range(dim):
-        E.flat[j] = 1.0
-        H[:, j] = model.hess_vec(X, E).ravel()
-        E.flat[j] = 0.0
+    E = np.zeros((n, n, p))
+    for c in range(p):
+        E[:, :, c] = np.eye(n)
+        H[:, c::p] = model.hess_vec(X, E).reshape(n, dim).T
+        E[:, :, c] = 0.0
     asym = fnorm(H - H.T) / (1.0 + fnorm(H))
     if asym > 1e-8:
         raise NumericalError(f"assembled Hessian asymmetry {asym:.3e} exceeds 1e-8")
@@ -157,7 +158,8 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
     penalty Hessian (assembled independently from the model oracle); the
     leftover p(p+1)/2 eigenvalues must exceed the largest tangent eigenvalue
     when beta is large. Matching is greedy nearest-eigenvalue without
-    replacement, relative tolerance 1e-6 per eigenvalue.
+    replacement in ascending order, the lower eigenvalue winning a tie,
+    relative tolerance 1e-6 per eigenvalue.
     """
     Xstar = np.asarray(Xstar, dtype=float)
     n, p = Xstar.shape
@@ -167,22 +169,23 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
 
     basis = tangent_basis(Xstar)
     Sg = sym(Xstar.T @ np.asarray(obj.gradient(Xstar), dtype=float))
-    images = np.empty((n * p, basis.shape[1]))
-    for i in range(basis.shape[1]):
-        D = basis[:, i].reshape(n, p)
-        images[:, i] = (np.asarray(obj.hess_vec(Xstar, D), dtype=float) - D @ Sg).ravel()
-    riem = sym(basis.T @ images)
+    D = basis.T.reshape(-1, n, p)
+    images = np.asarray(obj.hess_vec(Xstar, D), dtype=float) - D @ Sg
+    riem = sym(basis.T @ images.reshape(len(D), n * p).T)
     lam_tangent = np.linalg.eigvalsh(riem)
     lam_penalty = np.linalg.eigvalsh(assemble_hessian(model, Xstar))
 
-    remaining = lam_penalty.tolist()
+    taken = np.zeros(lam_penalty.size, dtype=bool)
     worst = 0.0
-    for lam in lam_tangent:
-        j = min(range(len(remaining)), key=lambda i: abs(remaining[i] - lam))
-        worst = max(worst, abs(remaining.pop(j) - lam) / (1.0 + abs(lam)))
-    if remaining:
+    for lam in lam_tangent.tolist():
+        gaps = np.abs(lam_penalty - lam)
+        gaps[taken] = np.inf
+        j = np.argmin(gaps)
+        taken[j] = True
+        worst = max(worst, gaps[j] / (1.0 + abs(lam)))
+    if not taken.all():
         top_tangent = float(np.max(lam_tangent))
-        floor_gap = top_tangent - min(remaining)
+        floor_gap = top_tangent - lam_penalty[~taken].min()
         if floor_gap > 0.0:
             worst = max(worst, floor_gap / (1.0 + abs(top_tangent)))
     return _report(name, worst, tolerance, len(lam_tangent))

@@ -6,11 +6,13 @@ pytest -v report carries exactly one verdict line per criterion.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import expen as ep
+from expen.cli import TABLE_HEADER, _fmt
 
 from helpers import brockett_bruteforce_min, newton_polish, stiefel
 
@@ -235,6 +237,21 @@ def test_criterion_7_benchmark_protocol(benchmark_run, tmp_path):
     assert stat_ok and feas_ok and iter_ok
     assert monotone
     assert schema_ok and trace_header_ok
+
+
+def test_readme_cli_line_matches_benchmark_run(benchmark_run):
+    # the README's nleig run is the criterion 7 specification; the
+    # wall-clock column is not compared
+    spec, result, _ = benchmark_run
+    command = "$ expen-bench --problem nleig --n 250 --p 50 --alpha 1.0 --seed 0 --repeats 3 --grad-tol 1e-3"
+    assert spec == ep.RunSpec(problem="nleig", n=250, p=50, alpha=1.0, seed=0, repeats=3, grad_tol=1e-3)
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    header, row = lines[lines.index(command) + 1:lines.index(command) + 3]
+    assert header.split() == TABLE_HEADER.split(",")
+    cells = dict(zip(header.split(), row.split()))
+    assert cells["solver"] == spec.solver
+    for name in ("fval", "iteration", "stationarity", "feasibility"):
+        assert cells[name] == _fmt(getattr(result.row, name)), name
 
 
 def test_criterion_8_stationarity_certification(benchmark_run):

@@ -44,8 +44,16 @@ class TestSym:
         assert abs(lhs - rhs) <= 1e-12 * ep.fnorm(M) * ep.fnorm(S)
 
     def test_nonsquare_raises(self):
-        with pytest.raises(DimensionError):
-            ep.sym(np.zeros((3, 2)))
+        for shape in ((3, 2), (4, 3, 2), (3,), ()):
+            with pytest.raises(DimensionError):
+                ep.sym(np.zeros(shape))
+
+    def test_stack_matches_per_slice(self):
+        M = np.random.default_rng(4).standard_normal((5, 6, 6))
+        S = ep.sym(M)
+        assert S.shape == M.shape
+        for k in range(5):
+            assert same_bits(S[k], ep.sym(M[k]))
 
 
 class TestInnerAndNorm:
@@ -125,6 +133,16 @@ class TestTridiag:
         assert_allclose(T.matvec(v), T.dense() @ v, rtol=1e-13, atol=1e-13)
         assert_allclose(T.matvec(M), T.dense() @ M, rtol=1e-13, atol=1e-13)
 
+    def test_matvec_acts_along_axis_minus_two(self):
+        T = ep.TridiagMatrix(diag=np.linspace(1.0, 3.0, 9), sub=np.linspace(-1.0, 0.5, 8))
+        V = np.random.default_rng(1).standard_normal((4, 9, 3))
+        W = T.matvec(V)
+        assert W.shape == V.shape
+        for k in range(4):
+            assert same_bits(W[k], T.matvec(V[k]))
+            for j in range(3):
+                assert same_bits(W[k, :, j], T.matvec(V[k, :, j]))
+
     def test_solve_hand_example(self):
         # 2x2 Laplacian: [[2,-1],[-1,2]] x = [1,0] -> x = [2/3, 1/3].
         T = ep.laplacian_1d(2)
@@ -175,8 +193,9 @@ class TestTridiag:
         T = ep.laplacian_1d(3)
         with pytest.raises(DimensionError):
             ep.tridiag_solve(T, np.zeros(4))
-        with pytest.raises(DimensionError):
-            T.matvec(np.zeros((4, 2)))
+        for shape in ((4, 2), (2, 4, 2), (4,), (3, 4, 3), ()):
+            with pytest.raises(DimensionError):
+                T.matvec(np.zeros(shape))
 
     @pytest.mark.parametrize("n", [2, 250, 4000])
     def test_bit_identical_to_solveh_banded(self, n):

@@ -238,6 +238,19 @@ class TestPenaltyHessVec:
         rep = ep.fd_hessvec_check(model.grad, model.hess_vec, X, samples=8)
         assert rep.passed, rep.line()
 
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 6, 3), (6, 3), (1, 2, 5, 3), (5,), ()])
+    def test_direction_shape_validated(self, shape):
+        model = ep.ExPenModel(objective=ep.nleig_make(5, 3), beta=2.0)
+        with pytest.raises(DimensionError):
+            model.hess_vec(np.zeros((5, 3)), np.zeros(shape))
+
+    def test_constant_objective_stack_matches_per_direction_calls(self):
+        model = ep.ExPenModel(objective=ep.constant_make(6, 2, level=3.0), beta=4.0)
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((6, 2))
+        D = rng.standard_normal((4, 6, 2))
+        assert same_bits(model.hess_vec(X, D), np.stack([model.hess_vec(X, Dk) for Dk in D]))
+
     def test_missing_oracle_raises_capability_error(self):
         obj = ep.SmoothObjective(n=4, p=2, value=lambda X: 0.0,
                                  gradient=lambda X: np.zeros((4, 2)))
@@ -363,8 +376,17 @@ class TestMemoBitIdentity:
         self._check_grad(model, ref, X)
 
     @pytest.mark.parametrize("case", _CASES)
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_stacked_hess_vec_matches_per_direction_calls(self, case, k):
+        model, ref, X = self._setup(case)
+        D = np.random.default_rng(k).standard_normal((k, self.n, self.p))
+        H = model.hess_vec(X, D)
+        assert same_bits(H, np.stack([model.hess_vec(X, Dk) for Dk in D]))
+        assert same_bits(H[-1], _ref_hess_vec(ref, self.beta, X, D[-1]))
+
+    @pytest.mark.parametrize("case", _CASES)
     def test_hess_vec_columns_with_direction_mutated_in_place(self, case):
-        # the access pattern of assemble_hessian: one X, one buffer E
+        # one X and one direction buffer E, rewritten between calls
         model, ref, X = self._setup(case)
         E = np.zeros((self.n, self.p))
         for j in range(self.n * self.p):

@@ -172,6 +172,40 @@ class TestBrockett:
             ep.brockett_make(good, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+_STACK_OBJECTIVES = {
+    "nleig-alpha0": lambda: ep.nleig_make(9, 3, alpha=0.0),
+    "nleig-alpha1": lambda: ep.nleig_make(9, 3, alpha=1.0),
+    "brockett": lambda: ep.brockett_make(ep.random_symmetric(9, 1), ep.random_symmetric(3, 2)),
+    "constant": lambda: ep.constant_make(9, 3, level=1.5),
+    "linear": lambda: ep.linear_make(np.random.default_rng(3).standard_normal((9, 3))),
+}
+
+
+class TestStackedHessVec:
+    """A stack (k, n, p) of directions gets, slice for slice, the bits of one
+    call per direction."""
+
+    @pytest.mark.parametrize("name", _STACK_OBJECTIVES)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_per_direction_calls(self, name, k):
+        obj = _STACK_OBJECTIVES[name]()
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((9, 3))
+        D = rng.standard_normal((k, 9, 3))
+        H = obj.hess_vec(X, D)
+        assert same_bits(H, np.stack([obj.hess_vec(X, Dk) for Dk in D]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_nleig_stack_matches_reference(self, alpha):
+        obj, ref = ep.nleig_make(9, 3, alpha), reference_nleig(9, 3, alpha)
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((9, 3))
+        D = rng.standard_normal((4, 9, 3))
+        H = obj.hess_vec(X, D)
+        for k in range(4):
+            assert same_bits(H[k], ref.hess_vec(X, D[k]))
+
+
 class TestSyntheticObjectives:
     def test_constant(self):
         obj = ep.constant_make(5, 2, level=2.5)

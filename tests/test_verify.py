@@ -112,7 +112,50 @@ class TestFdHessvecCheck:
         assert not rep.passed
 
 
+def _assemble_by_columns(model, X):
+    """The dense penalty Hessian from one hess_vec call per canonical
+    direction, row-major: the reference for the stacked assembly."""
+    n, p = X.shape
+    H = np.empty((n * p, n * p))
+    E = np.zeros((n, p))
+    for j in range(n * p):
+        E.flat[j] = 1.0
+        H[:, j] = model.hess_vec(X, E).ravel()
+        E.flat[j] = 0.0
+    return 0.5 * (H + H.T)
+
+
+def _greedy_reference(lam_tangent, lam_penalty):
+    """The list-based greedy nearest-eigenvalue matcher, with its leftover
+    floor-gap term: the reference for spectrum_correspondence's worst error."""
+    remaining = lam_penalty.tolist()
+    worst = 0.0
+    for lam in lam_tangent:
+        j = min(range(len(remaining)), key=lambda i: abs(remaining[i] - lam))
+        worst = max(worst, abs(remaining.pop(j) - lam) / (1.0 + abs(lam)))
+    if remaining:
+        top_tangent = float(np.max(lam_tangent))
+        floor_gap = top_tangent - min(remaining)
+        if floor_gap > 0.0:
+            worst = max(worst, floor_gap / (1.0 + abs(top_tangent)))
+    return worst
+
+
 class TestAssembleHessian:
+    @pytest.mark.parametrize("shape", [(6, 1), (7, 3), (9, 4), (5, 5)])
+    @pytest.mark.parametrize("family", ["nleig", "brockett"])
+    def test_bit_identical_to_column_by_column_assembly(self, family, shape):
+        n, p = shape
+        if family == "nleig":
+            obj = ep.nleig_make(n, p, alpha=0.9)
+        else:
+            obj = ep.brockett_make(ep.random_symmetric(n, 5), ep.random_symmetric(p, 6))
+        model = ep.ExPenModel(objective=obj, beta=5.0)
+        X = np.random.default_rng(n * p).standard_normal((n, p)) * 0.6
+        H = ep.assemble_hessian(model, X)
+        assert np.array_equal(H, _assemble_by_columns(model, X))
+
+
     def test_constant_objective_at_origin(self):
         beta = 6.0
         model = ep.ExPenModel(objective=ep.constant_make(3, 2), beta=beta)
@@ -217,6 +260,33 @@ class TestSpectrumCorrespondence:
         rep = ep.spectrum_correspondence(model, obj, Xstar)
         assert rep.passed, rep.line()
         assert rep.samples == 4 * 2 - 3  # tangent dimension
+
+    # (tangent, penalty) spectra for the 4x2 minimiser below: 5 tangent and 8
+    # penalty eigenvalues, ascending, dyadic so that every gap is exact
+    CRAFTED = [
+        # 1.0 ties between 0.5 and 1.5: the lower index must win, which
+        # leaves 1.5 for 1.25
+        ([1.0, 1.25, 4.0, 6.0, 8.0], [0.5, 1.5, 4.0, 6.0, 8.0, 9.0, 9.5, 10.0]),
+        # exact ties among the eigenvalues themselves
+        ([1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 1.5, 1.5, 2.0, 2.5, 2.5, 3.0]),
+        ([-2.0, -2.0, 0.0, 0.0, 0.0], [-3.0, -1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 7.0]),
+        # leftovers below the top tangent eigenvalue: the floor-gap term
+        ([0.0, 1.0, 2.0, 3.0, 10.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 11.0]),
+        ([-1.0, 0.5, 0.75, 2.0, 2.0], [-4.0, -1.0, 0.5, 0.75, 1.0, 2.0, 2.0, 2.25]),
+    ]
+
+    @pytest.mark.parametrize("tangent, penalty", CRAFTED)
+    def test_matching_equals_greedy_reference(self, monkeypatch, tangent, penalty):
+        obj = ep.brockett_make(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([2.0, 1.0]))
+        model = ep.ExPenModel(objective=obj, beta=100.0)
+        Xstar = np.zeros((4, 2))
+        Xstar[0, 0] = Xstar[1, 1] = 1.0
+        spectra = {5: np.array(tangent), 8: np.array(penalty)}
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: spectra[A.shape[0]].copy())
+        rep = ep.spectrum_correspondence(model, obj, Xstar)
+        expected = _greedy_reference(spectra[5], spectra[8])
+        assert rep.max_rel_error == expected
+        assert rep.samples == 5
 
     def test_not_stationary_raises(self):
         obj = ep.nleig_make(6, 2, alpha=1.0)
