@@ -31,13 +31,18 @@ _SOLVERS = {"frcg": frcg_solve, "gd": gd_solve}
 _PROBLEMS = ("nleig", "brockett")
 _FORMATS = ("csv", "json", "both")
 
-TABLE_HEADER = "solver,fval,iteration,stationarity,feasibility,cpu_seconds"
+TABLE_HEADER = "solver,fval,iteration,stationarity,feasibility,wall_seconds"
 TRACE_HEADER = "k,h,grad_h_norm,feasibility,fval_gap"
 
 
 def _fmt(x):
     # 9 significant digits for every float column
     return f"{float(x):.9g}"
+
+
+def _cells(row):
+    """The TABLE_HEADER cells of a TableRow, whose fields the header names."""
+    return [row.solver] + [_fmt(getattr(row, name)) for name in TABLE_HEADER.split(",")[1:]]
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ class TableRow:
     iteration: float
     stationarity: float
     feasibility: float
-    cpu_seconds: float
+    wall_seconds: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def _build_objective(spec):
 def run_benchmark(spec, *, trace=False, clock=time.perf_counter):
     """Execute a RunSpec and aggregate the repeats into a TableRow.
 
-    The clock is injectable so tests can pin cpu_seconds; everything else is
+    The clock is injectable so tests can pin wall_seconds; everything else is
     fully determined by the RunSpec argument.
     """
     obj = _build_objective(spec)
@@ -137,7 +142,7 @@ def run_benchmark(spec, *, trace=False, clock=time.perf_counter):
         iteration=sum(rep.iterations for rep in reports) / k,
         stationarity=sum(rep.stationarity for rep in reports) / k,
         feasibility=sum(rep.feasibility for rep in reports) / k,
-        cpu_seconds=sum(rep.wall_seconds for rep in reports) / k,
+        wall_seconds=sum(rep.wall_seconds for rep in reports) / k,
     )
     traces = None
     if trace:
@@ -182,20 +187,7 @@ def emit_outputs(rows, traces, fmt, destination, *, metadata=None):
         paths.append(path)
 
     if fmt in ("csv", "both"):
-        lines = [TABLE_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.solver,
-                        _fmt(row.fval),
-                        _fmt(row.iteration),
-                        _fmt(row.stationarity),
-                        _fmt(row.feasibility),
-                        _fmt(row.cpu_seconds),
-                    ]
-                )
-            )
+        lines = [TABLE_HEADER] + [",".join(_cells(row)) for row in rows]
         _write("table.csv", "\n".join(lines) + "\n")
         if traces:
             for r, rows_r in enumerate(traces):
@@ -287,20 +279,8 @@ def main(argv=None):
         [result.row], result.traces, args.format, args.out_dir, metadata=metadata
     )
 
-    row = result.row
     print(TABLE_HEADER.replace(",", "  "))
-    print(
-        "  ".join(
-            [
-                row.solver,
-                _fmt(row.fval),
-                _fmt(row.iteration),
-                _fmt(row.stationarity),
-                _fmt(row.feasibility),
-                _fmt(row.cpu_seconds),
-            ]
-        )
-    )
+    print("  ".join(_cells(result.row)))
     for path in paths:
         print(f"wrote {path}")
 

@@ -86,6 +86,15 @@ def econ_svd(X):
     return EconSVD(U, s, Vt.T)
 
 
+def _stencil_operand(a):
+    """One scalar when all entries of a share one bit pattern, else a as a column.
+
+    Multiplying by either gives the same bits; the scalar skips the broadcast.
+    """
+    bits = a.view(np.uint64)
+    return a[0] if bits.size and (bits == bits[0]).all() else a[:, None]
+
+
 class TridiagMatrix:
     """Symmetric tridiagonal matrix stored by its diagonal and subdiagonal.
 
@@ -110,6 +119,7 @@ class TridiagMatrix:
         self.n = diag.shape[0]
         self.diag = diag
         self.sub = sub
+        self._d, self._s = _stencil_operand(diag), _stencil_operand(sub)
         self._factor = None  # LAPACK ?pttrf output (d, e), set by the first solve
 
     def dense(self):
@@ -126,21 +136,23 @@ class TridiagMatrix:
         u = v[:, None] if v.ndim == 1 else v
         if u.ndim < 2 or u.shape[-2] != self.n:
             raise DimensionError(f"operand has shape {v.shape}, expected ({self.n},) or (..., {self.n}, k)")
-        d = self.diag[:, None]
-        s = self.sub[:, None]
-        w = d * u
-        w[..., :-1, :] += s * u[..., 1:, :]
-        w[..., 1:, :] += s * u[..., :-1, :]
+        w = self._d * u
+        w[..., :-1, :] += self._s * u[..., 1:, :]
+        w[..., 1:, :] += self._s * u[..., :-1, :]
         return w.reshape(v.shape)
 
     def _cholesky(self):
         # A failed factorization is never cached, so every solve with an
-        # indefinite matrix raises.
+        # indefinite matrix raises. SciPy's ?pttrf wrapper rejects an empty
+        # subdiagonal; a 1x1 matrix is its own factor.
         factor = self._factor
         if factor is None:
             if not (np.isfinite(self.diag).all() and np.isfinite(self.sub).all()):
                 raise ValueError("array must not contain infs or NaNs")
-            d, e, info = dpttrf(self.diag, self.sub)
+            if self.n == 1:
+                d, e, info = self.diag, self.sub, int(self.diag[0] <= 0.0)
+            else:
+                d, e, info = dpttrf(self.diag, self.sub)
             if info != 0:
                 raise NotPositiveDefiniteError(
                     "banded Cholesky failed; the matrix is not positive definite"
@@ -168,20 +180,10 @@ def tridiag_solve(T, rhs):
     if not isinstance(T, TridiagMatrix):
         raise DimensionError("tridiag_solve expects a TridiagMatrix")
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != T.n:
-        raise DimensionError(f"rhs has leading dimension {rhs.shape[0]}, expected {T.n}")
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != T.n:
+        raise DimensionError(f"rhs has shape {rhs.shape}, expected ({T.n},) or ({T.n}, k)")
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    if T.n == 1:
-        # SciPy's ?pttrf and ?pttrs wrappers reject an empty subdiagonal, so
-        # solve 1x1 systems directly, with the checks of _cholesky.
-        d = T.diag[0]
-        if not np.isfinite(d):
-            raise ValueError("array must not contain infs or NaNs")
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(
-                "banded Cholesky failed; the matrix is not positive definite"
-            )
-        return rhs / d
     d, e = T._cholesky()
-    return dpttrs(d, e, rhs)[0]
+    # SciPy's ?pttrs wrapper rejects an empty subdiagonal too
+    return rhs / d[0] if T.n == 1 else dpttrs(d, e, rhs)[0]

@@ -8,7 +8,7 @@ unconstrained minimization of
 
 which agrees with f on the manifold. The gradient and Hessian-vector oracles
 below are closed-form: one objective gradient (or Hessian-vector) call plus a
-fixed number of n x p by p x p products per evaluation. X^T X, the mapped
+fixed number of n x p by p x p products per evaluation. A(X), the mapped
 point X A(X), and the mapped gradient are computed once per point and shared
 by every oracle called there.
 """
@@ -79,14 +79,16 @@ def _check_tall(X, name):
     return X
 
 
-def _mapped(X, S):
-    """X A(X), given S = X^T X."""
-    return 1.5 * X - 0.5 * (X @ S)
+def _amat(S):
+    """A = (3/2) I - (1/2) S, given S = X^T X."""
+    A = -0.5 * S
+    A.reshape(-1)[:: A.shape[0] + 1] += 1.5  # the diagonal, as a strided view
+    return A
 
 
-def _jac(X, S, D):
+def _jac(X, A, D):
     """The Jacobian of the smoothing map at X applied to D or to each slice of a stack D."""
-    return 1.5 * D - 0.5 * (D @ S) - X @ sym(D.swapaxes(-1, -2) @ X)
+    return D @ A - X @ sym(D.swapaxes(-1, -2) @ X)
 
 
 def apen_map(X):
@@ -95,7 +97,7 @@ def apen_map(X):
     Fixes every column-orthonormal X.
     """
     X = _check_tall(X, "apen_map")
-    return _mapped(X, X.T @ X)
+    return X @ _amat(X.T @ X)
 
 
 def jx_apply(X, D):
@@ -105,7 +107,7 @@ def jx_apply(X, D):
     """
     X = _check_tall(X, "jx_apply")
     D = _check_point(D, *X.shape, "D")
-    return _jac(X, X.T @ X, D)
+    return _jac(X, _amat(X.T @ X), D)
 
 
 def smoothed_value(obj, X):
@@ -121,9 +123,9 @@ def smoothed_grad(obj, X):
     in the verify module exercise it directly.
     """
     X = _check_point(X, obj.n, obj.p)
-    S = X.T @ X
-    G = np.asarray(obj.gradient(_mapped(X, S)), dtype=float)
-    return _jac(X, S, G)
+    A = _amat(X.T @ X)
+    G = np.asarray(obj.gradient(X @ A), dtype=float)
+    return _jac(X, A, G)
 
 
 def default_beta(obj, X0):
@@ -143,7 +145,7 @@ class ExPenModel:
 
     Immutable and observably pure given a pure objective. The oracles share
     a one-entry memo keyed on the exact bits of the last point X: it holds
-    S = X^T X, R = S - I, the mapped point Y = X A(X) and, once some oracle
+    A = A(X), R = X^T X - I, the mapped point Y = X A and, once some oracle
     has asked for it, G = grad f(Y). A hit returns the same bits as a miss,
     because the memo only skips recomputing expressions that are written
     and evaluated exactly as on a miss, whatever order value, grad and
@@ -171,7 +173,7 @@ class ExPenModel:
         return self.objective.p
 
     def _at(self, X, with_grad=False):
-        """The memo entry (key, S, R, Y, G) for a checked point X.
+        """The memo entry (key, A, R, Y, G) for a checked point X.
 
         G is None until an oracle passes with_grad=True at this point.
         """
@@ -179,11 +181,12 @@ class ExPenModel:
         entry = self._memo
         if entry is None or entry[0] != key:
             S = X.T @ X
+            A = _amat(S)
             R = S - np.eye(self.p)
-            Y = _mapped(X, S)
-            for M in (S, R, Y):
+            Y = X @ A
+            for M in (A, R, Y):
                 M.setflags(write=False)
-            entry = (key, S, R, Y, None)
+            entry = (key, A, R, Y, None)
             object.__setattr__(self, "_memo", entry)
         if with_grad and entry[4] is None:
             G = np.asarray(self.objective.gradient(entry[3]), dtype=float)
@@ -194,20 +197,19 @@ class ExPenModel:
     def value(self, X):
         """h(X) = f(X A(X)) + (beta/4) ||X^T X - I||_F^2."""
         X = _check_point(X, self.n, self.p)
-        _, S, R, Y, _ = self._at(X)
-        fv = float(self.objective.value(Y))
-        return fv + 0.25 * self.beta * float(np.vdot(R, R))
+        _, _, R, Y, _ = self._at(X)
+        return float(self.objective.value(Y)) + 0.25 * self.beta * float(np.vdot(R, R))
 
     def grad(self, X):
         """Closed-form gradient of h.
 
-        grad h(X) = G A(X) - X sym(X^T G) + beta X (X^T X - I),
-        with G the objective gradient at the mapped point X A(X). Equals the
-        Riemannian gradient of f whenever X is column-orthonormal.
+        grad h(X) = G A(X) - X (sym(X^T G) - beta (X^T X - I)), with G the
+        objective gradient at the mapped point X A(X). Equals the Riemannian
+        gradient of f whenever X is column-orthonormal.
         """
         X = _check_point(X, self.n, self.p)
-        _, S, R, _, G = self._at(X, with_grad=True)
-        return _jac(X, S, G) + self.beta * (X @ R)
+        _, A, R, _, G = self._at(X, with_grad=True)
+        return G @ A - X @ (sym(X.T @ G) - self.beta * R)
 
     def hess_vec(self, X, D):
         """Closed-form Hessian of h applied to a direction D (n, p) or a stack (k, n, p).
@@ -221,10 +223,10 @@ class ExPenModel:
             raise CapabilityError("objective provides no hess_vec oracle")
         X = _check_point(X, self.n, self.p)
         D = _check_point(D, self.n, self.p, "D", stack=True)
-        _, S, R, Y, G = self._at(X, with_grad=True)
-        HJD = np.asarray(self.objective.hess_vec(Y, _jac(X, S, D)), dtype=float)
+        _, A, R, Y, G = self._at(X, with_grad=True)
+        HJD = np.asarray(self.objective.hess_vec(Y, _jac(X, A, D)), dtype=float)
         return (
-            _jac(X, S, HJD)
+            _jac(X, A, HJD)
             - D @ sym(X.T @ G)
             - X @ sym(D.swapaxes(-1, -2) @ G)
             - G @ sym(D.swapaxes(-1, -2) @ X)

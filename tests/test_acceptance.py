@@ -209,7 +209,7 @@ def test_criterion_7_benchmark_protocol(benchmark_run, tmp_path):
     paths = ep.emit_outputs([result.row], result.traces, "both", str(tmp_path))
     table = (tmp_path / "table.csv").read_text().splitlines()
     schema_ok = (
-        table[0] == "solver,fval,iteration,stationarity,feasibility,cpu_seconds"
+        table[0] == "solver,fval,iteration,stationarity,feasibility,wall_seconds"
         and len(table) == 2
         and len(paths) == 2 + spec.repeats
     )

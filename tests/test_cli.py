@@ -59,7 +59,7 @@ class TestRunBenchmark:
         assert row.stationarity == sum(r.stationarity for r in reports) / 2.0
         assert row.feasibility == sum(r.feasibility for r in reports) / 2.0
         assert result.f_ref == min(r.fval for r in reports)
-        assert row.cpu_seconds == 1.0  # injected counter: one tick per solve
+        assert row.wall_seconds == 1.0  # injected counter: one tick per solve
 
     def test_beta_rule_matches_documented_default(self):
         spec = _spec(beta_override=None, repeats=2)
@@ -109,12 +109,12 @@ class TestEmitOutputs:
         table = tmp_path / "table.csv"
         assert str(table) in paths
         lines = table.read_text().splitlines()
-        assert lines[0] == "solver,fval,iteration,stationarity,feasibility,cpu_seconds"
+        assert lines[0] == "solver,fval,iteration,stationarity,feasibility,wall_seconds"
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert cells[0] == "frcg"
         assert cells[1] == f"{result.row.fval:.9g}"
-        assert cells[5] == f"{result.row.cpu_seconds:.9g}"
+        assert cells[5] == f"{result.row.wall_seconds:.9g}"
 
     def test_trace_files_schema(self, result, tmp_path):
         ep.emit_outputs([result.row], result.traces, "csv", str(tmp_path))

@@ -143,6 +143,26 @@ class TestTridiag:
             for j in range(3):
                 assert same_bits(W[k, :, j], T.matvec(V[k, :, j]))
 
+    @pytest.mark.parametrize(
+        "T",
+        [ep.laplacian_1d(1), ep.laplacian_1d(2), ep.laplacian_1d(250),
+         ep.TridiagMatrix(diag=[0.0, -0.0, 0.0], sub=[-0.0, -0.0])],
+        ids=["laplacian1", "laplacian2", "laplacian250", "signed-zeros"],
+    )
+    def test_constant_diagonals_keep_column_broadcast_bits(self, T):
+        # matvec multiplies by a constant diagonal as one scalar; the
+        # reference broadcasts the stored entries as columns
+        n = T.n
+        rng = np.random.default_rng(n)
+        d, s = T.diag[:, None], T.sub[:, None]
+        for shape in ((n,), (n, 4), (3, n, 4)):
+            v = rng.standard_normal(shape)
+            u = v[:, None] if v.ndim == 1 else v
+            w = d * u
+            w[..., :-1, :] += s * u[..., 1:, :]
+            w[..., 1:, :] += s * u[..., :-1, :]
+            assert same_bits(T.matvec(v), w.reshape(shape))
+
     def test_solve_hand_example(self):
         # 2x2 Laplacian: [[2,-1],[-1,2]] x = [1,0] -> x = [2/3, 1/3].
         T = ep.laplacian_1d(2)
@@ -191,8 +211,9 @@ class TestTridiag:
         with pytest.raises(DimensionError):
             ep.TridiagMatrix(diag=np.zeros(3), sub=np.zeros(3))
         T = ep.laplacian_1d(3)
-        with pytest.raises(DimensionError):
-            ep.tridiag_solve(T, np.zeros(4))
+        for rhs in (np.zeros(4), 3.0, np.zeros((3, 2, 2))):
+            with pytest.raises(DimensionError):
+                ep.tridiag_solve(T, rhs)
         for shape in ((4, 2), (2, 4, 2), (4,), (3, 4, 3), ()):
             with pytest.raises(DimensionError):
                 T.matvec(np.zeros(shape))

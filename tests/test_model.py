@@ -297,23 +297,58 @@ class TestModelMetadata:
 
 
 # The penalty oracles written straight through, the reference whose bits the
-# memoised model must reproduce: every call recomputes X^T X, the mapped
-# point and its gradient.
+# memoised model must reproduce: every call recomputes A(X) = 1.5 I - 0.5 X^T X,
+# X^T X - I, the mapped point and its gradient.
+def _ref_parts(obj, X):
+    S = X.T @ X
+    A = -0.5 * S
+    np.fill_diagonal(A, A.diagonal() + 1.5)
+    return A, S - np.eye(obj.p), X @ A
+
+
 def _ref_value(obj, beta, X):
+    _, R, Y = _ref_parts(obj, X)
+    return float(obj.value(Y)) + 0.25 * beta * float(np.vdot(R, R))
+
+
+def _ref_grad(obj, beta, X):
+    A, R, Y = _ref_parts(obj, X)
+    G = np.asarray(obj.gradient(Y), dtype=float)
+    return G @ A - X @ (ep.sym(X.T @ G) - beta * R)
+
+
+def _ref_hess_vec(obj, beta, X, D):
+    A, R, Y = _ref_parts(obj, X)
+    G = np.asarray(obj.gradient(Y), dtype=float)
+    JD = D @ A - X @ ep.sym(D.T @ X)
+    HJD = np.asarray(obj.hess_vec(Y, JD), dtype=float)
+    return (
+        HJD @ A - X @ ep.sym(HJD.T @ X)
+        - D @ ep.sym(X.T @ G)
+        - X @ ep.sym(D.T @ G)
+        - G @ ep.sym(D.T @ X)
+        + beta * (2.0 * (X @ ep.sym(X.T @ D)) + D @ R)
+    )
+
+
+# The same oracles in the expanded form A(X) = 1.5 I - 0.5 S was first written
+# in: the closed form above reorders the floating-point work, so the two agree
+# to rounding, not bit for bit.
+def _expanded_value(obj, beta, X):
     S = X.T @ X
     R = S - np.eye(obj.p)
     fv = float(obj.value(1.5 * X - 0.5 * (X @ S)))
     return fv + 0.25 * beta * float(np.vdot(R, R))
 
 
-def _ref_grad(obj, beta, X):
+def _expanded_grad(obj, beta, X):
     S = X.T @ X
     R = S - np.eye(obj.p)
     G = np.asarray(obj.gradient(1.5 * X - 0.5 * (X @ S)), dtype=float)
     return 1.5 * G - 0.5 * (G @ S) - X @ ep.sym(X.T @ G) + beta * (X @ R)
 
 
-def _ref_hess_vec(obj, beta, X, D):
+def _expanded_hess_vec(obj, beta, X, D):
     S = X.T @ X
     R = S - np.eye(obj.p)
     Y = 1.5 * X - 0.5 * (X @ S)
@@ -342,6 +377,27 @@ def _brockett_case(n, p):
 
 
 _CASES = {"nleig-alpha0": _nleig_case(0.0), "nleig-alpha1": _nleig_case(1.0), "brockett": _brockett_case}
+
+
+class TestClosedFormMatchesExpanded:
+    """The A(X) closed form agrees with the expanded expressions to rounding."""
+
+    n, p, beta = 7, 3, 3.0
+
+    @pytest.mark.parametrize("case", _CASES)
+    @pytest.mark.parametrize("scale", [1.0, 1.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_grad_hess_vec(self, case, scale, seed):
+        obj, _ = _CASES[case](self.n, self.p)
+        model = ep.ExPenModel(obj, beta=self.beta)
+        X = scale * near_stiefel(self.n, self.p, seed)
+        D = np.random.default_rng(seed + 30).standard_normal((self.n, self.p))
+        v = _expanded_value(obj, self.beta, X)
+        assert abs(model.value(X) - v) <= 1e-12 * abs(v)
+        g = _expanded_grad(obj, self.beta, X)
+        assert ep.fnorm(model.grad(X) - g) <= 1e-12 * ep.fnorm(g)
+        H = _expanded_hess_vec(obj, self.beta, X, D)
+        assert ep.fnorm(model.hess_vec(X, D) - H) <= 1e-12 * ep.fnorm(H)
 
 
 class TestMemoBitIdentity:
