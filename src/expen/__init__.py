@@ -17,25 +17,15 @@ from .exceptions import (
     NotPositiveDefiniteError,
     NotStationaryError,
     NumericalError,
-    SamplingError,
 )
-from .linalg import EconSVD, TridiagMatrix, econ_svd, fnorm, inner, laplacian_1d, sym, tridiag_solve
-from .model import (
-    ExPenModel,
-    SmoothObjective,
-    apen_map,
-    default_beta,
-    jx_apply,
-    smoothed_grad,
-    smoothed_value,
-)
+from .linalg import TridiagMatrix, fnorm, inner, laplacian_1d, sym, tridiag_solve
+from .model import ExPenModel, SmoothObjective, apen_map, default_beta, jx_apply, smoothed_grad
 from .geometry import (
     StationarityReport,
     feasibility,
     postprocess,
     project_stiefel,
     riemannian_grad,
-    riemannian_hess_quadform,
     stationarity_report,
     tangent_project,
 )

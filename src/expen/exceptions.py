@@ -39,7 +39,3 @@ class LineSearchError(ExPenError):
 
 class NonDescentError(LineSearchError):
     """The supplied direction is not a descent direction."""
-
-
-class SamplingError(ExPenError):
-    """Reproducible random generation exhausted its retry budget."""

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapabilityError, DegenerateProjectionError, FeasibilityError
-from .linalg import econ_svd, fnorm, inner, sym
+from .exceptions import DegenerateProjectionError, DimensionError, FeasibilityError, NumericalError
+from .linalg import fnorm, sym
 
 __all__ = [
     "project_stiefel",
     "feasibility",
     "tangent_project",
     "riemannian_grad",
-    "riemannian_hess_quadform",
     "StationarityReport",
     "stationarity_report",
     "postprocess",
@@ -38,19 +37,29 @@ def feasibility(X):
 
 
 def project_stiefel(X):
-    """Nearest column-orthonormal matrix, U V^T from the economic SVD.
+    """Nearest column-orthonormal matrix, U V^T from the economic SVD of an n x p X, n >= p.
 
-    Raises DegenerateProjectionError when X is numerically rank deficient
-    (smallest singular value below 1e-12 times the largest): the nearest
+    Raises NumericalError when the SVD does not converge, and
+    DegenerateProjectionError when X is numerically rank deficient
+    (smallest singular value at most 1e-12 times the largest): the nearest
     point is not unique there, and silently picking one would poison
     downstream stationarity numbers.
     """
-    U, s, V = econ_svd(X)
-    if s[0] <= 0.0 or s[-1] <= 1e-12 * s[0]:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < X.shape[1]:
+        raise DimensionError(f"project_stiefel expects n x p with n >= p, got shape {X.shape}")
+    try:
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"SVD did not converge for a {X.shape[0]}x{X.shape[1]} matrix "
+            f"(max |entry| {np.max(np.abs(X)):.3e}, fro norm {fnorm(X):.3e})"
+        ) from exc
+    if s[-1] <= 1e-12 * s[0]:
         raise DegenerateProjectionError(
             f"projection undefined: singular values range [{s[-1]:.3e}, {s[0]:.3e}]"
         )
-    return U @ V.T
+    return U @ Vt
 
 
 def _require_feasible(X, op):
@@ -75,23 +84,6 @@ def riemannian_grad(obj, X):
     X = _require_feasible(X, "riemannian_grad")
     G = np.asarray(obj.gradient(X), dtype=float)
     return G - X @ sym(X.T @ G)
-
-
-def riemannian_hess_quadform(obj, X, D):
-    """Riemannian Hessian quadratic form <D, hess f(X)[D]> on a tangent D.
-
-    Computed as <D, hessvec_f(X, D) - D sym(X^T grad f(X))>.
-    """
-    if obj.hess_vec is None:
-        raise CapabilityError("objective provides no hess_vec oracle")
-    X = _require_feasible(X, "riemannian_hess_quadform")
-    D = np.asarray(D, dtype=float)
-    tangency = fnorm(sym(D.T @ X))
-    if tangency > 1e-10 * (1.0 + fnorm(D)):
-        raise FeasibilityError(f"direction is not tangent: ||sym(D^T X)||_F = {tangency:.3e}")
-    G = np.asarray(obj.gradient(X), dtype=float)
-    HD = np.asarray(obj.hess_vec(X, D), dtype=float)
-    return inner(D, HD) - inner(D, D @ sym(X.T @ G))
 
 
 @dataclass(frozen=True)

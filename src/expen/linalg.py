@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: symmetrization, economic SVD, tridiagonal solves.
+"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves.
 
 Everything here is a pure function of its inputs. The one piece of state is
 the Cholesky factor a TridiagMatrix caches on its first solve; it is a pure
@@ -7,30 +7,19 @@ function of the matrix, whose entries are read-only.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .exceptions import DimensionError, NotPositiveDefiniteError, NumericalError
+from .exceptions import DimensionError, NotPositiveDefiniteError
 
 __all__ = [
     "sym",
     "inner",
     "fnorm",
-    "EconSVD",
-    "econ_svd",
     "TridiagMatrix",
     "laplacian_1d",
     "tridiag_solve",
 ]
-
-
-def _as_matrix(M, name="matrix"):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got ndim={M.ndim}")
-    return M
 
 
 def sym(M):
@@ -53,37 +42,6 @@ def inner(A, B):
 def fnorm(A):
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(A, dtype=float)))
-
-
-class EconSVD(NamedTuple):
-    """Economic SVD X = U @ diag(singular_values) @ V.T for an n x p matrix, n >= p."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-
-def econ_svd(X):
-    """Economic SVD of an n x p matrix with n >= p.
-
-    Returns
-    -------
-    EconSVD
-        U is n x p with orthonormal columns, singular_values is length p and
-        nonincreasing, V is p x p orthogonal.
-    """
-    X = _as_matrix(X, "econ_svd operand")
-    n, p = X.shape
-    if n < p:
-        raise DimensionError(f"econ_svd expects n >= p, got shape {X.shape}")
-    try:
-        U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"SVD did not converge for a {n}x{p} matrix "
-            f"(max |entry| {np.max(np.abs(X)):.3e}, fro norm {fnorm(X):.3e})"
-        ) from exc
-    return EconSVD(U, s, Vt.T)
 
 
 def _stencil_operand(a):

@@ -28,7 +28,6 @@ __all__ = [
     "ExPenModel",
     "apen_map",
     "jx_apply",
-    "smoothed_value",
     "smoothed_grad",
     "default_beta",
 ]
@@ -108,12 +107,6 @@ def jx_apply(X, D):
     X = _check_tall(X, "jx_apply")
     D = _check_point(D, *X.shape, "D")
     return _jac(X, _amat(X.T @ X), D)
-
-
-def smoothed_value(obj, X):
-    """f evaluated through the smoothing map: f(X A(X))."""
-    X = _check_point(X, obj.n, obj.p)
-    return float(obj.value(apen_map(X)))
 
 
 def smoothed_grad(obj, X):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateProjectionError, DimensionError, SamplingError
+from .exceptions import DimensionError
 from .geometry import project_stiefel
 from .linalg import inner, laplacian_1d, sym, tridiag_solve
 from .model import SmoothObjective
@@ -47,13 +47,13 @@ def nleig_make(n, p, alpha=1.0):
     n, p : int
         Dimensions, n >= p >= 1.
     alpha : float
-        Nonnegative coupling weight of the quartic term. The experiments
-        leave it a free knob; 1.0 is the neutral default.
+        Nonnegative, finite coupling weight of the quartic term. The
+        experiments leave it a free knob; 1.0 is the neutral default.
     """
     if not (n >= p >= 1):
         raise DimensionError(f"need n >= p >= 1, got n={n}, p={p}")
-    if not (alpha >= 0.0):
-        raise DimensionError(f"alpha must be nonnegative, got {alpha}")
+    if not (alpha >= 0.0 and np.isfinite(alpha)):
+        raise DimensionError(f"alpha must be nonnegative and finite, got {alpha}")
     L = laplacian_1d(n)
     memo = None  # (key, L X, rho, L^{-1} rho) of the last point
 
@@ -63,36 +63,24 @@ def nleig_make(n, p, alpha=1.0):
         key = (X.shape, X.dtype.str, X.tobytes())
         entry = memo
         if entry is None or entry[0] != key:
-            LX = L.matvec(X)
-            rho = z = None
-            if alpha != 0.0:
-                rho = np.einsum("ij,ij->i", X, X)
-                z = tridiag_solve(L, rho)
-            entry = memo = (key, LX, rho, z)
+            rho = np.einsum("ij,ij->i", X, X)
+            entry = memo = (key, L.matvec(X), rho, tridiag_solve(L, rho))
         return X, entry
 
     def value(X):
         X, (_, LX, rho, z) = at(X)
-        quad = 0.5 * inner(X, LX)
-        if alpha == 0.0:
-            return quad
-        return quad + 0.25 * alpha * float(rho @ z)
+        return 0.5 * inner(X, LX) + 0.25 * alpha * float(rho @ z)
 
     def gradient(X):
         X, (_, LX, _, z) = at(X)
-        if alpha == 0.0:
-            return LX.copy()
         return LX + alpha * (z[:, None] * X)
 
     def hess_vec(X, D):
-        H = L.matvec(D)
-        if alpha != 0.0:
-            X, (_, _, _, z) = at(X)
-            # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
-            v = 2.0 * np.einsum("ij,...ij->...i", X, D)
-            w = np.moveaxis(tridiag_solve(L, np.moveaxis(v, -1, 0)), 0, -1)
-            H = H + alpha * (z[:, None] * D) + alpha * (w[..., None] * X)
-        return H
+        X, (_, _, _, z) = at(X)
+        # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
+        v = 2.0 * np.einsum("ij,...ij->...i", X, D)
+        w = np.moveaxis(tridiag_solve(L, np.moveaxis(v, -1, 0)), 0, -1)
+        return L.matvec(D) + alpha * (z[:, None] * D) + alpha * (w[..., None] * X)
 
     return SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
 
@@ -174,18 +162,12 @@ class RandomSpec:
 
 
 def random_stiefel(spec):
-    """Column-orthonormal matrix from projected standard-normal entries.
+    """Column-orthonormal matrix from projected standard-normal entries, deterministic in the seed.
 
-    Deterministic in the seed. A rank-deficient draw (probability zero) is
-    retried with an incremented seed up to 3 times.
+    A rank-deficient draw has probability zero; project_stiefel raises
+    DegenerateProjectionError for one.
     """
     if not isinstance(spec, RandomSpec):
         raise DimensionError("random_stiefel expects a RandomSpec")
-    for attempt in range(4):
-        rng = np.random.default_rng(spec.seed + attempt)
-        Z = rng.standard_normal((spec.n, spec.p))
-        try:
-            return project_stiefel(Z)
-        except DegenerateProjectionError:
-            continue
-    raise SamplingError(f"no full-rank draw after 4 attempts from seed {spec.seed}")
+    rng = np.random.default_rng(spec.seed)
+    return project_stiefel(rng.standard_normal((spec.n, spec.p)))

@@ -191,15 +191,17 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
     return _report(name, worst, tolerance, len(lam_tangent))
 
 
-def strict_saddle_check(beta, n=3, p=2, *, tolerance=1e-10, name="strict_saddle"):
+def strict_saddle_check(beta, *, tolerance=1e-10, name="strict_saddle"):
     """Confirm the origin is a strict saddle of the penalty for a constant objective.
 
     X = 0 is an infeasible stationary point of h; there the penalty Hessian
     is exactly -beta times the identity, so its smallest eigenvalue -beta
-    clears the -beta/24 escape threshold. Checked by dense eigensolve.
+    clears the -beta/24 escape threshold. Checked by dense eigensolve on
+    3 x 2 matrices.
     """
     if not (beta > 0.0):
         raise DimensionError(f"beta must be positive, got {beta}")
+    n, p = 3, 2
     model = ExPenModel(constant_make(n, p), beta)
     H = assemble_hessian(model, np.zeros((n, p)))
     lam_min = float(np.linalg.eigvalsh(H)[0])

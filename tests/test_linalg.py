@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 from expen.exceptions import DimensionError, NotPositiveDefiniteError, NumericalError
 
-from helpers import same_bits, stiefel
+from helpers import same_bits
 
 
 class TestSym:
@@ -77,39 +77,6 @@ class TestInnerAndNorm:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             ep.inner(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-class TestEconSVD:
-    def test_orthonormal_input_has_unit_singular_values(self):
-        Q = stiefel(9, 4, seed=0)
-        fac = ep.econ_svd(Q)
-        assert_allclose(fac.singular_values, np.ones(4), rtol=0, atol=1e-12)
-
-    def test_diagonal_hand_example(self):
-        X = np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        fac = ep.econ_svd(X)
-        assert_allclose(fac.singular_values, np.array([3.0, 2.0]), rtol=0, atol=1e-14)
-
-    def test_zero_matrix(self):
-        fac = ep.econ_svd(np.zeros((4, 2)))
-        assert_allclose(fac.singular_values, np.zeros(2), rtol=0, atol=0)
-
-    @pytest.mark.parametrize("shape,seed", [((5, 3), 0), ((30, 7), 1), ((200, 50), 2)])
-    def test_reconstruction_and_orthogonality(self, shape, seed):
-        n, p = shape
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, p))
-        fac = ep.econ_svd(X)
-        U, s, V = fac.U, fac.singular_values, fac.V
-        assert U.shape == (n, p) and s.shape == (p,) and V.shape == (p, p)
-        assert np.all(np.diff(s) <= 0) and s[-1] >= 0
-        assert_allclose(U @ np.diag(s) @ V.T, X, rtol=0, atol=1e-12 * ep.fnorm(X))
-        assert_allclose(U.T @ U, np.eye(p), rtol=0, atol=1e-13)
-        assert_allclose(V.T @ V, np.eye(p), rtol=0, atol=1e-13)
-
-    def test_wide_matrix_raises(self):
-        with pytest.raises(DimensionError):
-            ep.econ_svd(np.zeros((2, 5)))
 
 
 class TestTridiag:

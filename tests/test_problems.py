@@ -58,8 +58,9 @@ class TestNleig:
     def test_validation(self):
         with pytest.raises(DimensionError):
             ep.nleig_make(2, 3)
-        with pytest.raises(DimensionError):
-            ep.nleig_make(4, 2, alpha=-0.5)
+        for alpha in (-0.5, np.inf):
+            with pytest.raises(DimensionError):
+                ep.nleig_make(4, 2, alpha=alpha)
 
 
 class TestNleigMemo:

@@ -49,7 +49,7 @@ class TestFdGradientCheck:
         obj = ep.linear_make(C)
         Q = stiefel(7, 3, seed=2)
         rep = ep.fd_gradient_check(
-            lambda Z: ep.smoothed_value(obj, Z),
+            lambda Z: obj.value(ep.apen_map(Z)),
             lambda Z: ep.smoothed_grad(obj, Z),
             Q,
             samples=10,
