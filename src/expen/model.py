@@ -175,7 +175,8 @@ class ExPenModel:
         if entry is None or entry[0] != key:
             S = X.T @ X
             A = _amat(S)
-            R = S - np.eye(self.p)
+            R = S  # S is spent on A, so R = S - I is formed in place
+            R.reshape(-1)[:: self.p + 1] -= 1.0
             Y = X @ A
             for M in (A, R, Y):
                 M.setflags(write=False)
@@ -202,7 +203,9 @@ class ExPenModel:
         """
         X = _check_point(X, self.n, self.p)
         _, A, R, _, G = self._at(X, with_grad=True)
-        return G @ A - X @ (sym(X.T @ G) - self.beta * R)
+        g = G @ A
+        g -= X @ (sym(X.T @ G) - self.beta * R)
+        return g
 
     def hess_vec(self, X, D):
         """Closed-form Hessian of h applied to a direction D (n, p) or a stack (k, n, p).

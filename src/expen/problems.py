@@ -35,12 +35,15 @@ def nleig_make(n, p, alpha=1.0):
     tridiagonal stencil diag 2 / off -1 and rho = diag(X X^T). The inverse is
     applied by an O(n) tridiagonal solve, never formed.
 
-    value, gradient and hess_vec share a one-entry memo of L X, rho and
-    L^{-1} rho, keyed on the shape, dtype and exact bits of the last point
-    X, so asking for the value and the gradient at one point costs one
-    stencil matvec and one solve. A hit returns the same bits as a miss.
-    Each entry is published as one immutable tuple in a single assignment,
-    so the objective can be shared between threads.
+    The gradient is the Hamiltonian H = L + alpha Diag(z), z = L^{-1} rho,
+    applied to X, and the value follows from it:
+    f(X) = (1/2) <X, H X> - (alpha/4) rho^T z. value, gradient and hess_vec
+    share a one-entry memo of rho, z and H X, keyed on the shape, dtype and
+    exact bits of the last point X, so asking for the value and the gradient
+    at one point costs one solve and one three-pass application of H. A hit
+    returns the same bits as a miss, and gradient returns a fresh copy. Each
+    entry is published as one immutable tuple in a single assignment, so the
+    objective can be shared between threads.
 
     Parameters
     ----------
@@ -55,7 +58,7 @@ def nleig_make(n, p, alpha=1.0):
     if not (alpha >= 0.0 and np.isfinite(alpha)):
         raise DimensionError(f"alpha must be nonnegative and finite, got {alpha}")
     L = laplacian_1d(n)
-    memo = None  # (key, L X, rho, L^{-1} rho) of the last point
+    memo = None  # (key, rho, L^{-1} rho, H X) of the last point
 
     def at(X):
         nonlocal memo
@@ -64,19 +67,25 @@ def nleig_make(n, p, alpha=1.0):
         entry = memo
         if entry is None or entry[0] != key:
             rho = np.einsum("ij,ij->i", X, X)
-            entry = memo = (key, L.matvec(X), rho, tridiag_solve(L, rho))
+            z = tridiag_solve(L, rho)
+            # H X from the (2, -1) stencil, in place after the diagonal pass
+            HX = (2.0 + alpha * z)[:, None] * X
+            HX[:-1] -= X[1:]
+            HX[1:] -= X[:-1]
+            HX.setflags(write=False)
+            entry = memo = (key, rho, z, HX)
         return X, entry
 
     def value(X):
-        X, (_, LX, rho, z) = at(X)
-        return 0.5 * inner(X, LX) + 0.25 * alpha * float(rho @ z)
+        X, (_, rho, z, HX) = at(X)
+        return 0.5 * inner(X, HX) - 0.25 * alpha * float(rho @ z)
 
     def gradient(X):
-        X, (_, LX, _, z) = at(X)
-        return LX + alpha * (z[:, None] * X)
+        _, (_, _, _, HX) = at(X)
+        return HX.copy()
 
     def hess_vec(X, D):
-        X, (_, _, _, z) = at(X)
+        X, (_, _, z, _) = at(X)
         # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
         v = 2.0 * np.einsum("ij,...ij->...i", X, D)
         w = np.moveaxis(tridiag_solve(L, np.moveaxis(v, -1, 0)), 0, -1)

@@ -101,7 +101,8 @@ class SolverReport:
     final_point, fval, stationarity, and feasibility describe the iterate
     after projection onto the manifold; raw_point and the raw_* fields keep
     the last iterate as the loop left it, so certified-bound checks can see
-    both sides.
+    both sides. termination_detail keeps the class and text of the line
+    search error behind a LineSearchFailure, and is "" otherwise.
     """
 
     final_point: np.ndarray
@@ -115,6 +116,7 @@ class SolverReport:
     raw_grad_h_norm: float
     raw_feasibility: float
     trace: Optional[tuple] = None
+    termination_detail: str = ""
 
 
 def strong_wolfe(phi, dphi, config, initial_step=1.0):
@@ -212,19 +214,21 @@ def _descent_loop(model, X0, config, use_cg, clock):
         nonlocal last
         if t == 0.0:
             return h
-        Xt = X + t * D
+        Xt = t * D
+        Xt += X
         last = [Xt, model.value(Xt), None]
         return last[1]
 
     def dphi(t):
         if t == 0.0:
-            return inner(g, D)
+            return d0
         last[2] = model.grad(last[0])
         return inner(last[2], D)
 
     eta_prev = None
     gD_prev = None
     termination = Termination.MAX_ITERS
+    detail = ""
     k = 0
 
     while True:
@@ -235,7 +239,9 @@ def _descent_loop(model, X0, config, use_cg, clock):
             termination = Termination.MAX_ITERS
             break
 
-        gD = inner(g, D)
+        # d0 is dphi(0); after a restart gD = -||g||^2 differs from it in
+        # the last bits, so it is recomputed there
+        gD = d0 = inner(g, D)
         dnorm = fnorm(D)
         # restart guard: the theory needs strict descent, which the FR update
         # can lose; reset to steepest descent when it does
@@ -243,6 +249,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
             D = -g
             dnorm = gnorm
             gD = -(gnorm * gnorm)
+            d0 = inner(g, D)
 
         if eta_prev is None:
             trial = 1.0
@@ -252,8 +259,9 @@ def _descent_loop(model, X0, config, use_cg, clock):
 
         try:
             eta = strong_wolfe(phi, dphi, config, initial_step=trial)
-        except LineSearchError:
+        except LineSearchError as exc:
             termination = Termination.LINE_SEARCH_FAILURE
+            detail = f"{type(exc).__name__}: {exc}"
             break
 
         if trace is not None:
@@ -264,7 +272,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
 
         if use_cg:
             tau = (gnorm_next * gnorm_next) / (gnorm * gnorm)
-            D = -g_next + tau * D
+            D *= tau
+            D -= g_next
         else:
             D = -g_next
         eta_prev, gD_prev = eta, gD
@@ -289,6 +298,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
         raw_grad_h_norm=gnorm,
         raw_feasibility=raw_feas,
         trace=tuple(trace) if trace is not None else None,
+        termination_detail=detail,
     )
 
 

@@ -82,42 +82,75 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def reference_nleig(n, p, alpha):
-    """nleig_make's value, gradient and hess_vec written straight through.
+def _nleig_parts(n, alpha):
+    """The stencil L, and rho = diag(X X^T) with z = L^{-1} rho solved straight through.
 
-    Every call recomputes L X, rho and L^{-1} rho, and the solves go through
-    scipy.linalg.solveh_banded on the stencil's upper banded storage. The
-    memoised objective must reproduce these bits.
+    The solves go through scipy.linalg.solveh_banded on the stencil's upper
+    banded storage, which rejects n = 1; the 1 x 1 system 2 z = rho is
+    divided out.
     """
     L = ep.laplacian_1d(n)
     ab = np.zeros((2, n))
     ab[0, 1:] = -1.0
     ab[1, :] = 2.0
-    solve = lambda rhs: scipy.linalg.solveh_banded(ab, rhs)
+    solve = lambda rhs: rhs / 2.0 if n == 1 else scipy.linalg.solveh_banded(ab, rhs)
 
-    def value(X):
-        quad = 0.5 * ep.inner(X, L.matvec(X))
-        if alpha == 0.0:
-            return quad
+    def rho_z(X):
         rho = np.einsum("ij,ij->i", X, X)
-        z = solve(rho)
-        return quad + 0.25 * alpha * float(rho @ z)
-
-    def gradient(X):
-        g = L.matvec(X)
-        if alpha != 0.0:
-            rho = np.einsum("ij,ij->i", X, X)
-            z = solve(rho)
-            g = g + alpha * (z[:, None] * X)
-        return g
+        return rho, solve(rho)
 
     def hess_vec(X, D):
-        H = L.matvec(D)
-        if alpha != 0.0:
-            rho = np.einsum("ij,ij->i", X, X)
-            z = solve(rho)
-            w = solve(2.0 * np.einsum("ij,ij->i", X, D))
-            H = H + alpha * (z[:, None] * D) + alpha * (w[:, None] * X)
-        return H
+        _, z = rho_z(X)
+        w = solve(2.0 * np.einsum("ij,ij->i", X, D))
+        return L.matvec(D) + alpha * (z[:, None] * D) + alpha * (w[:, None] * X)
+
+    return L, rho_z, hess_vec
+
+
+def reference_nleig(n, p, alpha):
+    """nleig_make's value, gradient and hess_vec written straight through.
+
+    Every call recomputes rho, L^{-1} rho and the Hamiltonian
+    H X = (L + alpha Diag(L^{-1} rho)) X, with the neighbour rows of the
+    stencil taken from zero-padded shifted copies of X. The value is
+    (1/2) <X, H X> - (alpha/4) rho^T L^{-1} rho. The memoised objective must
+    reproduce these bits.
+    """
+    _, rho_z, hess_vec = _nleig_parts(n, alpha)
+
+    def hamiltonian(X):
+        rho, z = rho_z(X)
+        below = np.vstack([X[1:], np.zeros((1, X.shape[1]))])
+        above = np.vstack([np.zeros((1, X.shape[1])), X[:-1]])
+        return rho, z, (2.0 + alpha * z)[:, None] * X - below - above
+
+    def value(X):
+        rho, z, HX = hamiltonian(X)
+        return 0.5 * ep.inner(X, HX) - 0.25 * alpha * float(rho @ z)
+
+    def gradient(X):
+        return hamiltonian(X)[2]
+
+    return ep.SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
+
+
+def expanded_nleig(n, p, alpha):
+    """nleig's value and gradient in the form they were first written in.
+
+    value = (1/2) <X, L X> + (alpha/4) rho^T L^{-1} rho and
+    gradient = L X + alpha (L^{-1} rho) o X, with L X from the stencil
+    matvec. These order the floating-point work differently from the
+    Hamiltonian form, so they agree with nleig_make to rounding, and bit
+    for bit at alpha = 0. hess_vec is the same as reference_nleig's.
+    """
+    L, rho_z, hess_vec = _nleig_parts(n, alpha)
+
+    def value(X):
+        rho, z = rho_z(X)
+        return 0.5 * ep.inner(X, L.matvec(X)) + 0.25 * alpha * float(rho @ z)
+
+    def gradient(X):
+        _, z = rho_z(X)
+        return L.matvec(X) + alpha * (z[:, None] * X)
 
     return ep.SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)

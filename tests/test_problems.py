@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expen as ep
+import expen.problems
 from expen.exceptions import DimensionError
 
-from helpers import reference_nleig, same_bits, stiefel
+from helpers import expanded_nleig, reference_nleig, same_bits, stiefel
 
 
 class TestNleig:
@@ -120,6 +121,53 @@ class TestNleigMemo:
         obj.gradient(X)[:] = np.nan
         assert same_bits(obj.gradient(X), ref.gradient(X))
         assert same_bits(obj.value(X), ref.value(X))
+
+    def test_new_point_costs_one_solve_and_no_stencil_matvec(self, monkeypatch):
+        # value and gradient read H X from the memo; only hess_vec applies L
+        counts = {"solve": 0, "matvec": 0}
+        solve, matvec = expen.problems.tridiag_solve, ep.TridiagMatrix.matvec
+
+        def counted_solve(T, rhs):
+            counts["solve"] += 1
+            return solve(T, rhs)
+
+        def counted_matvec(T, v):
+            counts["matvec"] += 1
+            return matvec(T, v)
+
+        monkeypatch.setattr(expen.problems, "tridiag_solve", counted_solve)
+        monkeypatch.setattr(ep.TridiagMatrix, "matvec", counted_matvec)
+        obj, _, X1 = self._setup(1.0, seed=3)
+        for i, X in enumerate((X1, 2.0 * X1, X1), start=1):
+            obj.value(X)
+            obj.gradient(X)
+            obj.value(X)
+            obj.gradient(X)
+            assert counts == {"solve": i, "matvec": 0}
+
+
+class TestNleigHamiltonianForm:
+    """H X and (1/2) <X, H X> - (alpha/4) rho^T z agree with the stencil
+    form L X + alpha z o X and (1/2) <X, L X> + (alpha/4) rho^T z: bit for
+    bit at alpha = 0, to rounding otherwise. hess_vec keeps its bits."""
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (7, 1), (250, 50), (4000, 3)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_agrees_with_stencil_form(self, n, p, alpha, seed):
+        obj, old = ep.nleig_make(n, p, alpha), expanded_nleig(n, p, alpha)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p)) if seed else 1.1 * stiefel(n, p, seed)
+        D = rng.standard_normal((n, p))
+        v, g = obj.value(X), obj.gradient(X)
+        if alpha == 0.0:
+            assert same_bits(v, old.value(X))
+            assert same_bits(g, old.gradient(X))
+        else:
+            v_old, g_old = old.value(X), old.gradient(X)
+            assert abs(v - v_old) <= 1e-12 * abs(v_old)
+            assert ep.fnorm(g - g_old) <= 1e-12 * ep.fnorm(g_old)
+        assert same_bits(obj.hess_vec(X, D), old.hess_vec(X, D))
 
 
 class TestBrockett:

@@ -21,8 +21,8 @@ def test_quick_start_and_verification_snippet_print_their_documented_values():
         for block in blocks:  # the snippet reuses the Quick start's names
             exec(compile(block, str(README), "exec"), namespace)
     lines = out.getvalue().splitlines()
-    assert lines[0] == "GradTol 654"
-    assert lines[1] == "7.6429039977661"
+    assert lines[0] == "GradTol 658"
+    assert lines[1] == "7.64290399776555"
     assert lines[-2] == "True"
     assert lines[-1].startswith("check=fd_gradient ")
     assert lines[-1].endswith(" status=PASS")

@@ -298,6 +298,26 @@ class TestFrcgSolve:
         assert report.iterations == 0
         assert np.array_equal(report.raw_point, Q)
         assert report.feasibility <= 1e-12  # still postprocessed
+        assert report.termination_detail.startswith("LineSearchError: ")
+
+    def test_escape_at_iteration_zero_names_the_step_cap(self):
+        # Brockett 30x4 at beta = 50 from seed 1's start: h is unbounded
+        # below along the first direction, so the bracketing doubles the
+        # step past its cap, and the report keeps the error's text.
+        spec = ep.RunSpec("brockett", 30, 4, seed=1, beta_override=50.0, grad_tol=1e-6)
+        report = ep.run_benchmark(spec).reports[0]
+        assert report.termination is ep.Termination.LINE_SEARCH_FAILURE
+        assert report.iterations == 0
+        assert report.termination_detail.startswith("LineSearchError: trial step ")
+        assert report.termination_detail.endswith(" exceeded cap 1e+10")
+
+    @pytest.mark.parametrize("max_iters", [5, 10000])
+    def test_termination_detail_is_empty_without_line_search_failure(self, max_iters):
+        model = _penalized_nleig(10, 3, beta=20.0)
+        report = ep.frcg_solve(model, stiefel(10, 3, seed=4), ep.SolverConfig(max_iters=max_iters))
+        expected = ep.Termination.MAX_ITERS if max_iters == 5 else ep.Termination.GRAD_TOL
+        assert report.termination is expected
+        assert report.termination_detail == ""
 
     def test_level_set_confinement_near_manifold(self):
         # Starting within feasibility 1/24 at large beta, all iterates stay
