@@ -44,15 +44,6 @@ def fnorm(A):
     return float(np.linalg.norm(np.asarray(A, dtype=float)))
 
 
-def _stencil_operand(a):
-    """One scalar when all entries of a share one bit pattern, else a as a column.
-
-    Multiplying by either gives the same bits; the scalar skips the broadcast.
-    """
-    bits = a.view(np.uint64)
-    return a[0] if bits.size and (bits == bits[0]).all() else a[:, None]
-
-
 class TridiagMatrix:
     """Symmetric tridiagonal matrix stored by its diagonal and subdiagonal.
 
@@ -77,7 +68,6 @@ class TridiagMatrix:
         self.n = diag.shape[0]
         self.diag = diag
         self.sub = sub
-        self._d, self._s = _stencil_operand(diag), _stencil_operand(sub)
         self._factor = None  # LAPACK ?pttrf output (d, e), set by the first solve
 
     def dense(self):
@@ -94,9 +84,9 @@ class TridiagMatrix:
         u = v[:, None] if v.ndim == 1 else v
         if u.ndim < 2 or u.shape[-2] != self.n:
             raise DimensionError(f"operand has shape {v.shape}, expected ({self.n},) or (..., {self.n}, k)")
-        w = self._d * u
-        w[..., :-1, :] += self._s * u[..., 1:, :]
-        w[..., 1:, :] += self._s * u[..., :-1, :]
+        w = self.diag[:, None] * u
+        w[..., :-1, :] += self.sub[:, None] * u[..., 1:, :]
+        w[..., 1:, :] += self.sub[:, None] * u[..., :-1, :]
         return w.reshape(v.shape)
 
     def _cholesky(self):

@@ -210,21 +210,25 @@ class ExPenModel:
     def hess_vec(self, X, D):
         """Closed-form Hessian of h applied to a direction D (n, p) or a stack (k, n, p).
 
-        Requires the objective to provide hess_vec; the objective Hessian is
-        evaluated at the mapped point X A(X) and sandwiched between two
-        Jacobian applications, followed by the curvature terms of the map and
-        of the penalty. Each slice of a stack gets the bits of its own call.
+        Requires the objective to provide hess_vec. With S_D = sym(D^T X) and
+        HJD = hess f(X A)[D A - X S_D], the objective Hessian at the mapped
+        point applied to the Jacobian image of D, it is grouped as grad is:
+            HJD A - G S_D + D (beta R - sym(X^T G))
+                + X (2 beta S_D - sym(D^T G) - sym(HJD^T X)),
+        ten matrix products besides the objective's hess_vec. Each slice of a
+        stack gets the bits of its own call.
         """
         if self.objective.hess_vec is None:
             raise CapabilityError("objective provides no hess_vec oracle")
         X = _check_point(X, self.n, self.p)
         D = _check_point(D, self.n, self.p, "D", stack=True)
         _, A, R, Y, G = self._at(X, with_grad=True)
-        HJD = np.asarray(self.objective.hess_vec(Y, _jac(X, A, D)), dtype=float)
+        Dt = D.swapaxes(-1, -2)
+        S_D = sym(Dt @ X)
+        HJD = np.asarray(self.objective.hess_vec(Y, D @ A - X @ S_D), dtype=float)
         return (
-            _jac(X, A, HJD)
-            - D @ sym(X.T @ G)
-            - X @ sym(D.swapaxes(-1, -2) @ G)
-            - G @ sym(D.swapaxes(-1, -2) @ X)
-            + self.beta * (2.0 * (X @ sym(X.T @ D)) + D @ R)
+            HJD @ A
+            - G @ S_D
+            + D @ (self.beta * R - sym(X.T @ G))
+            + X @ (2.0 * self.beta * S_D - sym(Dt @ G) - sym(HJD.swapaxes(-1, -2) @ X))
         )

@@ -37,7 +37,9 @@ def nleig_make(n, p, alpha=1.0):
 
     The gradient is the Hamiltonian H = L + alpha Diag(z), z = L^{-1} rho,
     applied to X, and the value follows from it:
-    f(X) = (1/2) <X, H X> - (alpha/4) rho^T z. value, gradient and hess_vec
+    f(X) = (1/2) <X, H X> - (alpha/4) rho^T z. hess_vec applies the same H
+    to D and adds alpha (w o X), w = L^{-1} diag(X D^T + D X^T), with one
+    solve for a whole stack of directions. value, gradient and hess_vec
     share a one-entry memo of rho, z and H X, keyed on the shape, dtype and
     exact bits of the last point X, so asking for the value and the gradient
     at one point costs one solve and one three-pass application of H. A hit
@@ -60,6 +62,14 @@ def nleig_make(n, p, alpha=1.0):
     L = laplacian_1d(n)
     memo = None  # (key, rho, L^{-1} rho, H X) of the last point
 
+    def hamiltonian(z, M):
+        # (L + alpha Diag(z)) M for M (n, p) or (k, n, p), from the (2, -1)
+        # stencil, in place after the diagonal pass
+        HM = (2.0 + alpha * z)[:, None] * M
+        HM[..., :-1, :] -= M[..., 1:, :]
+        HM[..., 1:, :] -= M[..., :-1, :]
+        return HM
+
     def at(X):
         nonlocal memo
         X = np.asarray(X)
@@ -68,10 +78,7 @@ def nleig_make(n, p, alpha=1.0):
         if entry is None or entry[0] != key:
             rho = np.einsum("ij,ij->i", X, X)
             z = tridiag_solve(L, rho)
-            # H X from the (2, -1) stencil, in place after the diagonal pass
-            HX = (2.0 + alpha * z)[:, None] * X
-            HX[:-1] -= X[1:]
-            HX[1:] -= X[:-1]
+            HX = hamiltonian(z, X)
             HX.setflags(write=False)
             entry = memo = (key, rho, z, HX)
         return X, entry
@@ -86,10 +93,11 @@ def nleig_make(n, p, alpha=1.0):
 
     def hess_vec(X, D):
         X, (_, _, z, _) = at(X)
+        D = np.asarray(D, dtype=float)
         # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
         v = 2.0 * np.einsum("ij,...ij->...i", X, D)
         w = np.moveaxis(tridiag_solve(L, np.moveaxis(v, -1, 0)), 0, -1)
-        return L.matvec(D) + alpha * (z[:, None] * D) + alpha * (w[..., None] * X)
+        return hamiltonian(z, D) + alpha * (w[..., None] * X)
 
     return SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
 

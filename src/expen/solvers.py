@@ -30,8 +30,12 @@ __all__ = [
     "gd_solve",
 ]
 
-# Hard ceilings of the line search: trial steps beyond _STEP_CAP or more than
-# _MAX_ZOOM interval refinements mean the search failed.
+# The line search: _DELTA and _SIGMA are the sufficient-decrease and curvature
+# constants of the strong Wolfe conditions (0 < _DELTA <= _SIGMA <= 1/2), and
+# trial steps beyond _STEP_CAP or more than _MAX_ZOOM interval refinements
+# mean the search failed.
+_DELTA = 1e-4
+_SIGMA = 0.4
 _STEP_CAP = 1e10
 _MAX_ZOOM = 60
 _MAX_EXPANSIONS = 200
@@ -43,25 +47,17 @@ _TRIAL_MAX = 1e6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Line-search and termination parameters.
+    """Termination parameters.
 
-    delta and sigma are the sufficient-decrease and curvature constants of
-    the strong Wolfe conditions, constrained to 0 < delta <= sigma <= 1/2.
     The solvers stop once ||grad h||_F <= grad_tol or after max_iters
     iterations, and keep one IterTrace row per iteration when trace_enabled.
     """
 
-    delta: float = 1e-4
-    sigma: float = 0.4
     grad_tol: float = 1e-3
     max_iters: int = 10000
     trace_enabled: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.delta <= self.sigma <= 0.5):
-            raise DimensionError(
-                f"need 0 < delta <= sigma <= 1/2, got delta={self.delta}, sigma={self.sigma}"
-            )
         if not (self.grad_tol >= 0.0):
             raise DimensionError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if not (self.max_iters >= 1):
@@ -119,10 +115,10 @@ class SolverReport:
     termination_detail: str = ""
 
 
-def strong_wolfe(phi, dphi, config, initial_step=1.0):
+def strong_wolfe(phi, dphi, initial_step=1.0):
     """Find a step satisfying the strong Wolfe conditions for phi.
 
-    Conditions at the returned eta:
+    Conditions at the returned eta, with delta = 1e-4 and sigma = 0.4:
         phi(eta) <= phi(0) + delta * eta * dphi(0)
         |dphi(eta)| <= -sigma * dphi(0)
 
@@ -143,17 +139,16 @@ def strong_wolfe(phi, dphi, config, initial_step=1.0):
     if d0 >= 0.0:
         raise NonDescentError(f"directional derivative at 0 is {d0:.3e}, not a descent direction")
     f0 = phi(0.0)
-    delta, sigma = config.delta, config.sigma
 
     def zoom(lo, hi, flo):
         for _ in range(_MAX_ZOOM):
             t = 0.5 * (lo + hi)
             ft = phi(t)
-            if ft > f0 + delta * t * d0 or ft >= flo:
+            if ft > f0 + _DELTA * t * d0 or ft >= flo:
                 hi = t
             else:
                 dt = dphi(t)
-                if abs(dt) <= -sigma * d0:
+                if abs(dt) <= -_SIGMA * d0:
                     return t
                 if dt * (hi - lo) >= 0.0:
                     hi = lo
@@ -166,10 +161,10 @@ def strong_wolfe(phi, dphi, config, initial_step=1.0):
         if t > _STEP_CAP:
             raise LineSearchError(f"trial step {t:.3e} exceeded cap {_STEP_CAP:.0e}")
         ft = phi(t)
-        if ft > f0 + delta * t * d0 or (expansion > 0 and ft >= f_prev):
+        if ft > f0 + _DELTA * t * d0 or (expansion > 0 and ft >= f_prev):
             return zoom(t_prev, t, f_prev)
         dt = dphi(t)
-        if abs(dt) <= -sigma * d0:
+        if abs(dt) <= -_SIGMA * d0:
             return t
         if dt >= 0.0:
             return zoom(t, t_prev, ft)
@@ -258,7 +253,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
             trial = min(max(trial, _TRIAL_MIN), _TRIAL_MAX)
 
         try:
-            eta = strong_wolfe(phi, dphi, config, initial_step=trial)
+            eta = strong_wolfe(phi, dphi, initial_step=trial)
         except LineSearchError as exc:
             termination = Termination.LINE_SEARCH_FAILURE
             detail = f"{type(exc).__name__}: {exc}"

@@ -83,7 +83,8 @@ def same_bits(a, b):
 
 
 def _nleig_parts(n, alpha):
-    """The stencil L, and rho = diag(X X^T) with z = L^{-1} rho solved straight through.
+    """The stencil L; rho = diag(X X^T) with z = L^{-1} rho; and, for one
+    direction D, w = L^{-1} diag(X D^T + D X^T), all solved straight through.
 
     The solves go through scipy.linalg.solveh_banded on the stencil's upper
     banded storage, which rejects n = 1; the 1 x 1 system 2 z = rho is
@@ -99,51 +100,52 @@ def _nleig_parts(n, alpha):
         rho = np.einsum("ij,ij->i", X, X)
         return rho, solve(rho)
 
-    def hess_vec(X, D):
-        _, z = rho_z(X)
-        w = solve(2.0 * np.einsum("ij,ij->i", X, D))
-        return L.matvec(D) + alpha * (z[:, None] * D) + alpha * (w[:, None] * X)
+    def w_of(X, D):
+        return solve(2.0 * np.einsum("ij,ij->i", X, D))
 
-    return L, rho_z, hess_vec
+    return L, rho_z, w_of
 
 
 def reference_nleig(n, p, alpha):
     """nleig_make's value, gradient and hess_vec written straight through.
 
     Every call recomputes rho, L^{-1} rho and the Hamiltonian
-    H X = (L + alpha Diag(L^{-1} rho)) X, with the neighbour rows of the
-    stencil taken from zero-padded shifted copies of X. The value is
-    (1/2) <X, H X> - (alpha/4) rho^T L^{-1} rho. The memoised objective must
-    reproduce these bits.
+    H = L + alpha Diag(L^{-1} rho), applied to M = X or M = D with the
+    neighbour rows of the stencil taken from zero-padded shifted copies of M.
+    The value is (1/2) <X, H X> - (alpha/4) rho^T L^{-1} rho and hess_vec is
+    H D + alpha (w o X). The memoised objective must reproduce these bits.
     """
-    _, rho_z, hess_vec = _nleig_parts(n, alpha)
+    _, rho_z, w_of = _nleig_parts(n, alpha)
 
-    def hamiltonian(X):
-        rho, z = rho_z(X)
-        below = np.vstack([X[1:], np.zeros((1, X.shape[1]))])
-        above = np.vstack([np.zeros((1, X.shape[1])), X[:-1]])
-        return rho, z, (2.0 + alpha * z)[:, None] * X - below - above
+    def hamiltonian(z, M):
+        below = np.vstack([M[1:], np.zeros((1, M.shape[1]))])
+        above = np.vstack([np.zeros((1, M.shape[1])), M[:-1]])
+        return (2.0 + alpha * z)[:, None] * M - below - above
 
     def value(X):
-        rho, z, HX = hamiltonian(X)
-        return 0.5 * ep.inner(X, HX) - 0.25 * alpha * float(rho @ z)
+        rho, z = rho_z(X)
+        return 0.5 * ep.inner(X, hamiltonian(z, X)) - 0.25 * alpha * float(rho @ z)
 
     def gradient(X):
-        return hamiltonian(X)[2]
+        return hamiltonian(rho_z(X)[1], X)
+
+    def hess_vec(X, D):
+        return hamiltonian(rho_z(X)[1], D) + alpha * (w_of(X, D)[:, None] * X)
 
     return ep.SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
 
 
 def expanded_nleig(n, p, alpha):
-    """nleig's value and gradient in the form they were first written in.
+    """nleig's value, gradient and hess_vec in the form they were first written in.
 
-    value = (1/2) <X, L X> + (alpha/4) rho^T L^{-1} rho and
-    gradient = L X + alpha (L^{-1} rho) o X, with L X from the stencil
-    matvec. These order the floating-point work differently from the
-    Hamiltonian form, so they agree with nleig_make to rounding, and bit
-    for bit at alpha = 0. hess_vec is the same as reference_nleig's.
+    value = (1/2) <X, L X> + (alpha/4) rho^T L^{-1} rho,
+    gradient = L X + alpha (L^{-1} rho) o X and
+    hess_vec = L D + alpha (L^{-1} rho) o D + alpha w o X, with L X and L D
+    from the stencil matvec. These order the floating-point work differently
+    from the Hamiltonian form, so they agree with nleig_make to rounding, and
+    the value and gradient bit for bit at alpha = 0.
     """
-    L, rho_z, hess_vec = _nleig_parts(n, alpha)
+    L, rho_z, w_of = _nleig_parts(n, alpha)
 
     def value(X):
         rho, z = rho_z(X)
@@ -152,5 +154,9 @@ def expanded_nleig(n, p, alpha):
     def gradient(X):
         _, z = rho_z(X)
         return L.matvec(X) + alpha * (z[:, None] * X)
+
+    def hess_vec(X, D):
+        _, z = rho_z(X)
+        return L.matvec(D) + alpha * (z[:, None] * D) + alpha * (w_of(X, D)[:, None] * X)
 
     return ep.SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)

@@ -117,8 +117,8 @@ class TestTridiag:
         ids=["laplacian1", "laplacian2", "laplacian250", "signed-zeros"],
     )
     def test_constant_diagonals_keep_column_broadcast_bits(self, T):
-        # matvec multiplies by a constant diagonal as one scalar; the
-        # reference broadcasts the stored entries as columns
+        # a constant diagonal gets the bits of the column broadcast, the
+        # same as the (2, -1) stencil pass nleig_make applies
         n = T.n
         rng = np.random.default_rng(n)
         d, s = T.diag[:, None], T.sub[:, None]

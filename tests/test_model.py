@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import expen as ep
@@ -317,18 +318,24 @@ def _ref_grad(obj, beta, X):
     return G @ A - X @ (ep.sym(X.T @ G) - beta * R)
 
 
-def _ref_hess_vec(obj, beta, X, D):
+def _ref_hess_vec_terms(obj, beta, X, D):
+    # the four summands of the grouped form: HJD A, -G S_D, D (beta R - sym(X^T G))
+    # and X (2 beta S_D - sym(D^T G) - sym(HJD^T X))
     A, R, Y = _ref_parts(obj, X)
     G = np.asarray(obj.gradient(Y), dtype=float)
-    JD = D @ A - X @ ep.sym(D.T @ X)
-    HJD = np.asarray(obj.hess_vec(Y, JD), dtype=float)
+    SD = ep.sym(D.T @ X)
+    HJD = np.asarray(obj.hess_vec(Y, D @ A - X @ SD), dtype=float)
     return (
-        HJD @ A - X @ ep.sym(HJD.T @ X)
-        - D @ ep.sym(X.T @ G)
-        - X @ ep.sym(D.T @ G)
-        - G @ ep.sym(D.T @ X)
-        + beta * (2.0 * (X @ ep.sym(X.T @ D)) + D @ R)
+        HJD @ A,
+        -(G @ SD),
+        D @ (beta * R - ep.sym(X.T @ G)),
+        X @ (2.0 * beta * SD - ep.sym(D.T @ G) - ep.sym(HJD.T @ X)),
     )
+
+
+def _ref_hess_vec(obj, beta, X, D):
+    a, b, c, d = _ref_hess_vec_terms(obj, beta, X, D)
+    return a + b + c + d
 
 
 # The same oracles in the expanded form A(X) = 1.5 I - 0.5 S was first written
@@ -398,6 +405,41 @@ class TestClosedFormMatchesExpanded:
         assert ep.fnorm(model.grad(X) - g) <= 1e-12 * ep.fnorm(g)
         H = _expanded_hess_vec(obj, self.beta, X, D)
         assert ep.fnorm(model.hess_vec(X, D) - H) <= 1e-12 * ep.fnorm(H)
+
+
+@st.composite
+def _penalty_cases(draw):
+    """A model on a Brockett, nleig or constant objective, a scaled Stiefel
+    point and a stack of random directions."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["brockett", "nleig", "constant"]))
+    if kind == "brockett":
+        obj = ep.brockett_make(ep.random_symmetric(n, [seed, 0]), ep.random_symmetric(p, [seed, 1]))
+    elif kind == "nleig":
+        obj = ep.nleig_make(n, p, alpha=draw(st.floats(0.0, 3.0)))
+    else:
+        obj = ep.constant_make(n, p, level=1.0)
+    model = ep.ExPenModel(obj, beta=draw(st.floats(0.1, 100.0)))
+    X = draw(st.floats(0.5, 1.5)) * stiefel(n, p, seed)
+    D = np.random.default_rng(seed).standard_normal((draw(st.integers(1, 4)), n, p))
+    return model, X, D
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_penalty_cases())
+def test_hess_vec_matches_expanded_and_stack_slices_match_calls(case):
+    # Rounding scales with the summands, which can nearly cancel: at a 1 x 1
+    # nleig point the image can be a thousandth of them, so the error is
+    # measured against the larger of the image and the summands' norms.
+    model, X, D = case
+    H = model.hess_vec(X, D)
+    for Dk, Hk in zip(D, H):
+        assert same_bits(Hk, model.hess_vec(X, Dk))
+        E = _expanded_hess_vec(model.objective, model.beta, X, Dk)
+        terms = _ref_hess_vec_terms(model.objective, model.beta, X, Dk)
+        assert ep.fnorm(Hk - E) <= 1e-12 * max(ep.fnorm(E), max(map(ep.fnorm, terms)))
 
 
 class TestMemoBitIdentity:

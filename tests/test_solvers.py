@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 import expen.solvers
 from expen.exceptions import DimensionError, LineSearchError, NonDescentError
+from expen.solvers import _DELTA, _SIGMA
 
 from helpers import CountingClock, near_stiefel, stiefel
 
@@ -14,14 +15,15 @@ from helpers import CountingClock, near_stiefel, stiefel
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = ep.SolverConfig()
-        assert cfg.delta == 1e-4 and cfg.sigma == 0.4
+        assert (cfg.grad_tol, cfg.max_iters, cfg.trace_enabled) == (1e-3, 10000, False)
+        assert 0.0 < _DELTA <= _SIGMA <= 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"delta": 0.0},
-            {"delta": 0.3, "sigma": 0.2},
-            {"sigma": 0.6},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("-inf")},
+            {"max_iters": -1},
             {"grad_tol": -1.0},
             {"max_iters": 0},
         ],
@@ -33,13 +35,11 @@ class TestSolverConfig:
 
 class TestStrongWolfe:
     def test_analytic_minimizer_of_shifted_quadratic(self):
-        cfg = ep.SolverConfig()
-        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), cfg)
+        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0))
         assert eta == 1.0
 
     def test_first_accept_returns_initial_trial(self):
-        cfg = ep.SolverConfig()
-        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), cfg,
+        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0),
                               initial_step=0.95)
         assert eta == 0.95
 
@@ -47,36 +47,32 @@ class TestStrongWolfe:
     def test_nonpositive_initial_step_rejected(self, initial_step):
         with pytest.raises(DimensionError):
             ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0),
-                            ep.SolverConfig(), initial_step=initial_step)
+                            initial_step=initial_step)
 
     def test_non_descent_raises(self):
-        cfg = ep.SolverConfig()
         with pytest.raises(NonDescentError):
-            ep.strong_wolfe(lambda t: t * t + t, lambda t: 2.0 * t + 1.0, cfg)
+            ep.strong_wolfe(lambda t: t * t + t, lambda t: 2.0 * t + 1.0)
 
     def test_unbounded_descent_fails(self):
-        cfg = ep.SolverConfig()
         with pytest.raises(LineSearchError):
-            ep.strong_wolfe(lambda t: -t, lambda t: -1.0, cfg)
+            ep.strong_wolfe(lambda t: -t, lambda t: -1.0)
 
     @pytest.mark.parametrize("minimizer", [0.01, 0.5, 3.0, 40.0])
     @pytest.mark.parametrize("curvature", [0.2, 1.0, 12.0])
     def test_conditions_hold_at_returned_step(self, minimizer, curvature):
-        cfg = ep.SolverConfig()
         phi = lambda t: curvature * (t - minimizer) ** 2
         dphi = lambda t: 2.0 * curvature * (t - minimizer)
-        eta = ep.strong_wolfe(phi, dphi, cfg)
+        eta = ep.strong_wolfe(phi, dphi)
         f0, d0 = phi(0.0), dphi(0.0)
-        assert phi(eta) <= f0 + cfg.delta * eta * d0 + 1e-15 * abs(f0)
-        assert abs(dphi(eta)) <= -cfg.sigma * d0
+        assert phi(eta) <= f0 + _DELTA * eta * d0 + 1e-15 * abs(f0)
+        assert abs(dphi(eta)) <= -_SIGMA * d0
 
     def test_conditions_hold_on_nonquadratic(self):
-        cfg = ep.SolverConfig()
         phi = lambda t: np.cosh(t - 2.0)
         dphi = lambda t: np.sinh(t - 2.0)
-        eta = ep.strong_wolfe(phi, dphi, cfg, initial_step=0.1)
-        assert phi(eta) <= phi(0.0) + cfg.delta * eta * dphi(0.0)
-        assert abs(dphi(eta)) <= -cfg.sigma * dphi(0.0)
+        eta = ep.strong_wolfe(phi, dphi, initial_step=0.1)
+        assert phi(eta) <= phi(0.0) + _DELTA * eta * dphi(0.0)
+        assert abs(dphi(eta)) <= -_SIGMA * dphi(0.0)
 
     @pytest.mark.parametrize(
         "phi, dphi, initial_step, path",
@@ -107,8 +103,7 @@ class TestStrongWolfe:
             calls.append(("dphi", t))
             return dphi(t)
 
-        eta = ep.strong_wolfe(phi_logged, dphi_logged, ep.SolverConfig(),
-                              initial_step=initial_step)
+        eta = ep.strong_wolfe(phi_logged, dphi_logged, initial_step=initial_step)
         assert calls[:2] == [("dphi", 0.0), ("phi", 0.0)]
         trials = calls[2:]
         for i, (name, t) in enumerate(trials):
@@ -148,7 +143,7 @@ def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
     monkeypatch.setattr(ep.ExPenModel, "grad", counting("grad", ep.ExPenModel.grad))
     real_wolfe = expen.solvers.strong_wolfe
 
-    def counting_wolfe(phi, dphi, config, **kwargs):
+    def counting_wolfe(phi, dphi, **kwargs):
         def phi_c(t):
             counts["phi"] += t != 0.0
             return phi(t)
@@ -157,7 +152,7 @@ def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
             counts["dphi"] += t != 0.0
             return dphi(t)
 
-        return real_wolfe(phi_c, dphi_c, config, **kwargs)
+        return real_wolfe(phi_c, dphi_c, **kwargs)
 
     monkeypatch.setattr(expen.solvers, "strong_wolfe", counting_wolfe)
     model = _penalized_nleig(12, 3, beta=25.0)
@@ -256,7 +251,7 @@ class TestFrcgSolve:
                 base = g if t == 0.0 else model.grad(X + t * D)
                 return ep.inner(base, D)
 
-            eta = ep.strong_wolfe(phi, dphi, cfg, initial_step=trial)
+            eta = ep.strong_wolfe(phi, dphi, initial_step=trial)
             X = X + eta * D
             h = model.value(X)
             g_next = model.grad(X)
