@@ -19,7 +19,7 @@ from .exceptions import (
     NumericalError,
 )
 from .linalg import TridiagMatrix, fnorm, inner, laplacian_1d, sym, tridiag_solve
-from .model import ExPenModel, SmoothObjective, apen_map, default_beta, jx_apply, smoothed_grad
+from .model import Evaluation, ExPenModel, SmoothObjective, apen_map, default_beta, jx_apply, smoothed_grad
 from .geometry import (
     StationarityReport,
     feasibility,

@@ -5,8 +5,8 @@ penalty parameter follows the ||grad f(X0)||_F / 10 rule unless overridden,
 the solver runs to the gradient tolerance, and the final iterate is projected
 onto the manifold before scoring. Numeric columns are averaged over repeats.
 
-Exit codes: 0 success, 1 invalid run specification, 2 solver failure on all
-repeats.
+Exit codes: 0 success, 1 invalid run specification, 2 every repeat ended in
+a line-search failure or at a non-finite h or grad h.
 """
 
 from __future__ import annotations
@@ -284,8 +284,9 @@ def main(argv=None):
     for path in paths:
         print(f"wrote {path}")
 
-    if all(t == Termination.LINE_SEARCH_FAILURE.value for t in result.terminations):
-        print("error: line search failed on every repeat", file=sys.stderr)
+    failed = (Termination.LINE_SEARCH_FAILURE.value, Termination.NON_FINITE.value)
+    if all(t in failed for t in result.terminations):
+        print("error: line search failed or went non-finite on every repeat", file=sys.stderr)
         return 2
     return 0
 

@@ -79,7 +79,11 @@ class TridiagMatrix:
         return T
 
     def matvec(self, v):
-        """Apply the matrix to a vector (n,), or along axis -2 of a block (..., n, k)."""
+        """Apply the matrix to a vector (n,), or along axis -2 of a block (..., n, k).
+
+        Nothing in expen calls it: nleig applies its stencil inside its own
+        closures. Tests and the perfbench layer tracer still use it.
+        """
         v = np.asarray(v, dtype=float)
         u = v[:, None] if v.ndim == 1 else v
         if u.ndim < 2 or u.shape[-2] != self.n:

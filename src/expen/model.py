@@ -8,14 +8,14 @@ unconstrained minimization of
 
 which agrees with f on the manifold. The gradient and Hessian-vector oracles
 below are closed-form: one objective gradient (or Hessian-vector) call plus a
-fixed number of n x p by p x p products per evaluation. A(X), the mapped
-point X A(X), and the mapped gradient are computed once per point and shared
-by every oracle called there.
+fixed number of n x p by p x p products per evaluation. ExPenModel.at(X)
+returns an Evaluation, which computes A(X), the mapped point X A(X) and the
+mapped gradient once and shares them between the oracles asked at X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .linalg import fnorm, sym
 __all__ = [
     "SmoothObjective",
     "ExPenModel",
+    "Evaluation",
     "apen_map",
     "jx_apply",
     "smoothed_grad",
@@ -136,20 +137,11 @@ def default_beta(obj, X0):
 class ExPenModel:
     """The penalty oracle h, grad h, and hess h [D] for a SmoothObjective.
 
-    Immutable and observably pure given a pure objective. The oracles share
-    a one-entry memo keyed on the exact bits of the last point X: it holds
-    A = A(X), R = X^T X - I, the mapped point Y = X A and, once some oracle
-    has asked for it, G = grad f(Y). A hit returns the same bits as a miss,
-    because the memo only skips recomputing expressions that are written
-    and evaluated exactly as on a miss, whatever order value, grad and
-    hess_vec are called in. Each new entry is published as one immutable
-    tuple in a single assignment, so a model can be shared between threads;
-    concurrent callers at different points only evict each other's entry.
+    Immutable and stateless: value, grad and hess_vec each wrap a fresh at(X).
     """
 
     objective: SmoothObjective
     beta: float
-    _memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.objective, SmoothObjective):
@@ -165,49 +157,57 @@ class ExPenModel:
     def p(self):
         return self.objective.p
 
-    def _at(self, X, with_grad=False):
-        """The memo entry (key, A, R, Y, G) for a checked point X.
-
-        G is None until an oracle passes with_grad=True at this point.
-        """
-        key = X.tobytes()
-        entry = self._memo
-        if entry is None or entry[0] != key:
-            S = X.T @ X
-            A = _amat(S)
-            R = S  # S is spent on A, so R = S - I is formed in place
-            R.reshape(-1)[:: self.p + 1] -= 1.0
-            Y = X @ A
-            for M in (A, R, Y):
-                M.setflags(write=False)
-            entry = (key, A, R, Y, None)
-            object.__setattr__(self, "_memo", entry)
-        if with_grad and entry[4] is None:
-            G = np.asarray(self.objective.gradient(entry[3]), dtype=float)
-            entry = entry[:4] + (G,)
-            object.__setattr__(self, "_memo", entry)
-        return entry
+    def at(self, X):
+        """The Evaluation of the penalty oracles at X."""
+        return Evaluation(self.objective, self.beta, _check_point(X, self.n, self.p))
 
     def value(self, X):
-        """h(X) = f(X A(X)) + (beta/4) ||X^T X - I||_F^2."""
-        X = _check_point(X, self.n, self.p)
-        _, _, R, Y, _ = self._at(X)
-        return float(self.objective.value(Y)) + 0.25 * self.beta * float(np.vdot(R, R))
+        return self.at(X).value()
 
     def grad(self, X):
-        """Closed-form gradient of h.
+        return self.at(X).grad()
+
+    def hess_vec(self, X, D):
+        return self.at(X).hess_vec(D)
+
+
+class Evaluation:
+    """The penalty oracles at a point X that must not change, from ExPenModel.at.
+
+    A(X), R = X^T X - I, Y = X A and, when first needed, G = grad f(Y) are formed once.
+    """
+
+    def __init__(self, objective, beta, X):
+        S = X.T @ X
+        A = _amat(S)
+        S.reshape(-1)[:: S.shape[0] + 1] -= 1.0  # S is spent on A, so R = S - I is formed in place
+        self.objective, self.beta, self.X, self.A, self.R, self.Y = objective, beta, X, A, S, X @ A
+        for M in (self.A, self.R, self.Y):
+            M.setflags(write=False)
+        self._G = None
+
+    def _grad_f(self):
+        if self._G is None:
+            self._G = np.asarray(self.objective.gradient(self.Y), dtype=float)
+        return self._G
+
+    def value(self):
+        """h(X) = f(X A(X)) + (beta/4) ||X^T X - I||_F^2."""
+        return float(self.objective.value(self.Y)) + 0.25 * self.beta * float(np.vdot(self.R, self.R))
+
+    def grad(self):
+        """Closed-form gradient of h, a new array on every call.
 
         grad h(X) = G A(X) - X (sym(X^T G) - beta (X^T X - I)), with G the
         objective gradient at the mapped point X A(X). Equals the Riemannian
         gradient of f whenever X is column-orthonormal.
         """
-        X = _check_point(X, self.n, self.p)
-        _, A, R, _, G = self._at(X, with_grad=True)
-        g = G @ A
-        g -= X @ (sym(X.T @ G) - self.beta * R)
+        G = self._grad_f()
+        g = G @ self.A
+        g -= self.X @ (sym(self.X.T @ G) - self.beta * self.R)
         return g
 
-    def hess_vec(self, X, D):
+    def hess_vec(self, D):
         """Closed-form Hessian of h applied to a direction D (n, p) or a stack (k, n, p).
 
         Requires the objective to provide hess_vec. With S_D = sym(D^T X) and
@@ -220,15 +220,14 @@ class ExPenModel:
         """
         if self.objective.hess_vec is None:
             raise CapabilityError("objective provides no hess_vec oracle")
-        X = _check_point(X, self.n, self.p)
-        D = _check_point(D, self.n, self.p, "D", stack=True)
-        _, A, R, Y, G = self._at(X, with_grad=True)
+        D = _check_point(D, *self.X.shape, "D", stack=True)
+        X, A, G = self.X, self.A, self._grad_f()
         Dt = D.swapaxes(-1, -2)
         S_D = sym(Dt @ X)
-        HJD = np.asarray(self.objective.hess_vec(Y, D @ A - X @ S_D), dtype=float)
+        HJD = np.asarray(self.objective.hess_vec(self.Y, D @ A - X @ S_D), dtype=float)
         return (
             HJD @ A
             - G @ S_D
-            + D @ (self.beta * R - sym(X.T @ G))
+            + D @ (self.beta * self.R - sym(X.T @ G))
             + X @ (2.0 * self.beta * S_D - sym(Dt @ G) - sym(HJD.swapaxes(-1, -2) @ X))
         )

@@ -10,6 +10,7 @@ the final iterate onto the manifold before scoring it.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -88,6 +89,7 @@ class Termination(enum.Enum):
     GRAD_TOL = "GradTol"
     MAX_ITERS = "MaxIters"
     LINE_SEARCH_FAILURE = "LineSearchFailure"
+    NON_FINITE = "NonFinite"
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,10 @@ class SolverReport:
     after projection onto the manifold; raw_point and the raw_* fields keep
     the last iterate as the loop left it, so certified-bound checks can see
     both sides. termination_detail keeps the class and text of the line
-    search error behind a LineSearchFailure, and is "" otherwise.
+    search error behind a LineSearchFailure, and is "" otherwise. A run at
+    whose iterate h or ||grad h|| is not finite ends NonFinite. value_calls
+    and grad_calls count the points at which the loop asked for h and for
+    grad h, the start included.
     """
 
     final_point: np.ndarray
@@ -111,6 +116,8 @@ class SolverReport:
     raw_point: np.ndarray
     raw_grad_h_norm: float
     raw_feasibility: float
+    value_calls: int
+    grad_calls: int
     trace: Optional[tuple] = None
     termination_detail: str = ""
 
@@ -126,7 +133,8 @@ def strong_wolfe(phi, dphi, initial_step=1.0):
     containing acceptable points is then refined by bisection. Raises
     DimensionError when initial_step is not positive, NonDescentError when
     dphi(0) >= 0, LineSearchError when the trial step exceeds 1e10 or
-    refinement exhausts its budget.
+    refinement exhausts its budget. A trial whose phi is NaN fails the
+    sufficient-decrease condition.
 
     Call order, which callers may rely on: after dphi(0) and phi(0), each
     dphi(t) comes right after phi(t) at the same t, and the returned eta is
@@ -144,7 +152,7 @@ def strong_wolfe(phi, dphi, initial_step=1.0):
         for _ in range(_MAX_ZOOM):
             t = 0.5 * (lo + hi)
             ft = phi(t)
-            if ft > f0 + _DELTA * t * d0 or ft >= flo:
+            if not ft <= f0 + _DELTA * t * d0 or ft >= flo:
                 hi = t
             else:
                 dt = dphi(t)
@@ -161,7 +169,7 @@ def strong_wolfe(phi, dphi, initial_step=1.0):
         if t > _STEP_CAP:
             raise LineSearchError(f"trial step {t:.3e} exceeded cap {_STEP_CAP:.0e}")
         ft = phi(t)
-        if ft > f0 + _DELTA * t * d0 or (expansion > 0 and ft >= f_prev):
+        if not ft <= f0 + _DELTA * t * d0 or (expansion > 0 and ft >= f_prev):
             return zoom(t_prev, t, f_prev)
         dt = dphi(t)
         if abs(dt) <= -_SIGMA * d0:
@@ -175,13 +183,13 @@ def strong_wolfe(phi, dphi, initial_step=1.0):
 
 def _descent_loop(model, X0, config, use_cg, clock):
     X = np.array(X0, dtype=float, copy=True)
-    if X.shape != (model.n, model.p):
-        raise DimensionError(f"X0 must have shape ({model.n}, {model.p}), got {X.shape}")
     obj = model.objective
 
     start = clock()
-    h = model.value(X)
-    g = model.grad(X)
+    ev = model.at(X)  # checks the shape of X0
+    h = ev.value()
+    g = ev.grad()
+    value_calls = grad_calls = 1
     gnorm = fnorm(g)
     D = -g
 
@@ -201,32 +209,38 @@ def _descent_loop(model, X0, config, use_cg, clock):
             )
         )
 
-    # X + t*D, h and grad h at the latest trial step t of the line search;
+    # the evaluation at X + t*D, h and grad h for the latest line-search trial;
     # by strong_wolfe's call order it is the accepted point once it returns
     last = None
 
     def phi(t):
-        nonlocal last
+        nonlocal last, value_calls
         if t == 0.0:
             return h
         Xt = t * D
         Xt += X
-        last = [Xt, model.value(Xt), None]
+        ev = model.at(Xt)
+        last = [ev, ev.value(), None]
+        value_calls += 1
         return last[1]
 
     def dphi(t):
+        nonlocal grad_calls
         if t == 0.0:
             return d0
-        last[2] = model.grad(last[0])
+        last[2] = last[0].grad()
+        grad_calls += 1
         return inner(last[2], D)
 
     eta_prev = None
     gD_prev = None
-    termination = Termination.MAX_ITERS
     detail = ""
     k = 0
 
     while True:
+        if not (math.isfinite(h) and math.isfinite(gnorm)):
+            termination = Termination.NON_FINITE
+            break
         if gnorm <= config.grad_tol:
             termination = Termination.GRAD_TOL
             break
@@ -262,7 +276,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
         if trace is not None:
             record(eta, dnorm, (gD * gD) / (dnorm * dnorm))
 
-        X, h, g_next = last
+        ev, h, g_next = last
+        X = ev.X
         gnorm_next = fnorm(g_next)
 
         if use_cg:
@@ -292,6 +307,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
         raw_point=X,
         raw_grad_h_norm=gnorm,
         raw_feasibility=raw_feas,
+        value_calls=value_calls,
+        grad_calls=grad_calls,
         trace=tuple(trace) if trace is not None else None,
         termination_detail=detail,
     )

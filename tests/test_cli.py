@@ -219,3 +219,25 @@ class TestMain:
         assert "line search failed" in capsys.readouterr().err
         # outputs are still written so a failed benchmark remains inspectable
         assert (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "ends, expected",
+        [
+            (("NON_FINITE", "NON_FINITE"), 2),
+            (("LINE_SEARCH_FAILURE", "NON_FINITE"), 2),
+            (("NON_FINITE", "GRAD_TOL"), 0),
+        ],
+    )
+    def test_non_finite_repeats_count_as_failures(self, tmp_path, monkeypatch, capsys, ends, expected):
+        real_solve = ep.frcg_solve
+        ends = iter(ends)
+
+        def ending_solve(model, X0, config, **kwargs):
+            report = real_solve(model, X0, config, **kwargs)
+            return dataclasses.replace(report, termination=ep.Termination[next(ends)])
+
+        monkeypatch.setitem(expen.cli._SOLVERS, "frcg", ending_solve)
+        code = ep.main(self._argv(tmp_path, "--repeats", "2"))
+        assert code == expected
+        assert ("went non-finite" in capsys.readouterr().err) == (expected == 2)
+        assert (tmp_path / "table.csv").exists()

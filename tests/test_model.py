@@ -1,6 +1,7 @@
 """Tests for the smooth objective container and the exact-penalty oracle."""
 
 import dataclasses
+import itertools
 import os
 import sys
 import threading
@@ -291,6 +292,9 @@ class TestModelMetadata:
         model = ep.ExPenModel(objective=ep.constant_make(9, 4), beta=2.0)
         assert (model.n, model.p) == (9, 4)
 
+    def test_fields_are_objective_and_beta(self):
+        assert [f.name for f in dataclasses.fields(ep.ExPenModel)] == ["objective", "beta"]
+
     def test_frozen(self):
         model = ep.ExPenModel(objective=ep.constant_make(3, 2), beta=2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -298,8 +302,8 @@ class TestModelMetadata:
 
 
 # The penalty oracles written straight through, the reference whose bits the
-# memoised model must reproduce: every call recomputes A(X) = 1.5 I - 0.5 X^T X,
-# X^T X - I, the mapped point and its gradient.
+# model's evaluations must reproduce: every call recomputes
+# A(X) = 1.5 I - 0.5 X^T X, X^T X - I, the mapped point and its gradient.
 def _ref_parts(obj, X):
     S = X.T @ X
     A = -0.5 * S
@@ -442,8 +446,23 @@ def test_hess_vec_matches_expanded_and_stack_slices_match_calls(case):
         assert ep.fnorm(Hk - E) <= 1e-12 * max(ep.fnorm(E), max(map(ep.fnorm, terms)))
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_penalty_cases())
+def test_evaluation_matches_wrappers_in_every_call_order(case):
+    model, X, D = case
+    expected = {"value": model.value(X), "grad": model.grad(X), "hess_vec": model.hess_vec(X, D)}
+    for order in itertools.permutations(expected):
+        evaluation = model.at(X)
+        for name in order:
+            got = evaluation.hess_vec(D) if name == "hess_vec" else getattr(evaluation, name)()
+            assert same_bits(got, expected[name])
+    g1, g2 = evaluation.grad(), evaluation.grad()
+    assert same_bits(g1, g2) and g1 is not g2
+
+
 class TestMemoBitIdentity:
-    """Memo hits and misses return the bits of the straight-through oracles."""
+    """The oracles return the bits of the straight-through reference in any call
+    order, at alternating points and at points changed in place."""
 
     n, p, beta = 7, 3, 3.0
 
@@ -516,12 +535,16 @@ class TestMemoBitIdentity:
         self._check_grad(model, ref, X)
 
     def test_returned_gradient_is_not_the_memo(self):
-        # a caller mutating a returned gradient must not corrupt the memo
+        # a caller mutating a returned gradient must not change what an
+        # evaluation, or the objective's own memo, gives next
         model, ref, X = self._setup("nleig-alpha0")
         g = model.grad(X)
         g[:] = np.nan
         self._check_grad(model, ref, X)
         self._check_value(model, ref, X)
+        evaluation = model.at(X)
+        evaluation.grad()[:] = np.nan
+        assert same_bits(evaluation.grad(), _ref_grad(ref, self.beta, X))
 
     def test_threads_sharing_one_model_agree_with_single_thread(self):
         # More threads than cores call one nleig objective and one model at a

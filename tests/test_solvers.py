@@ -57,6 +57,15 @@ class TestStrongWolfe:
         with pytest.raises(LineSearchError):
             ep.strong_wolfe(lambda t: -t, lambda t: -1.0)
 
+    def test_nan_trial_fails_sufficient_decrease(self):
+        # dphi = 0 meets the curvature condition at every t > 0, so only the
+        # sufficient-decrease test can turn the NaN trials away
+        def phi(t):
+            return 0.0 if t == 0.0 else float("nan")
+
+        with pytest.raises(LineSearchError, match="zoom exhausted"):
+            ep.strong_wolfe(phi, lambda t: -1.0 if t == 0.0 else 0.0)
+
     @pytest.mark.parametrize("minimizer", [0.01, 0.5, 3.0, 40.0])
     @pytest.mark.parametrize("curvature", [0.2, 1.0, 12.0])
     def test_conditions_hold_at_returned_step(self, minimizer, curvature):
@@ -133,14 +142,14 @@ def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
     counts = {"value": 0, "grad": 0, "phi": 0, "dphi": 0}
 
     def counting(name, oracle):
-        def counted(model, X):
+        def counted(evaluation):
             counts[name] += 1
-            return oracle(model, X)
+            return oracle(evaluation)
 
         return counted
 
-    monkeypatch.setattr(ep.ExPenModel, "value", counting("value", ep.ExPenModel.value))
-    monkeypatch.setattr(ep.ExPenModel, "grad", counting("grad", ep.ExPenModel.grad))
+    monkeypatch.setattr(ep.Evaluation, "value", counting("value", ep.Evaluation.value))
+    monkeypatch.setattr(ep.Evaluation, "grad", counting("grad", ep.Evaluation.grad))
     real_wolfe = expen.solvers.strong_wolfe
 
     def counting_wolfe(phi, dphi, **kwargs):
@@ -162,6 +171,45 @@ def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
     assert counts["phi"] > report.iterations
     assert counts["value"] == 1 + counts["phi"]
     assert counts["grad"] == 1 + counts["dphi"]
+    assert (report.value_calls, report.grad_calls) == (counts["value"], counts["grad"])
+
+
+def _turning_nan(n, p, first_nan_call, nan_grad=False):
+    """||X||^2 whose value is NaN from the given call on, or whose gradient is NaN."""
+    calls = [0]
+
+    def value(X):
+        calls[0] += 1
+        return float("nan") if calls[0] >= first_nan_call else float(np.vdot(X, X))
+
+    def gradient(X):
+        return np.full_like(X, np.nan) if nan_grad else 2.0 * X
+
+    return ep.SmoothObjective(n=n, p=p, value=value, gradient=gradient)
+
+
+@pytest.mark.parametrize("solve", [ep.frcg_solve, ep.gd_solve])
+@pytest.mark.parametrize(
+    "first_nan_call, nan_grad, termination",
+    [
+        (1, False, ep.Termination.NON_FINITE),
+        (10**9, True, ep.Termination.NON_FINITE),
+        (4, False, ep.Termination.LINE_SEARCH_FAILURE),
+    ],
+)
+def test_nan_objective_never_ends_gradtol(solve, first_nan_call, nan_grad, termination):
+    # Every comparison with NaN is False: a NaN h or gradient must end the run
+    # as a failure, not slip past the tolerance test.
+    model = ep.ExPenModel(_turning_nan(6, 2, first_nan_call, nan_grad), beta=1.0)
+    X0 = np.random.default_rng(0).standard_normal((6, 2))
+    report = solve(model, X0, ep.SolverConfig())
+    assert report.termination is termination
+    assert report.iterations == 0
+    if termination is ep.Termination.LINE_SEARCH_FAILURE:
+        assert report.termination_detail == "LineSearchError: zoom exhausted after 60 refinements"
+    else:
+        assert report.termination_detail == ""
+        assert (report.value_calls, report.grad_calls) == (1, 1)
 
 
 class TestFrcgSolve:
