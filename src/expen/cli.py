@@ -5,8 +5,9 @@ penalty parameter follows the ||grad f(X0)||_F / 10 rule unless overridden,
 the solver runs to the gradient tolerance, and the final iterate is projected
 onto the manifold before scoring. Numeric columns are averaged over repeats.
 
-Exit codes: 0 success, 1 invalid run specification, 2 every repeat ended in
-a line-search failure or at a non-finite h or grad h.
+Exit codes: 0 success, 1 invalid run specification, 2 every repeat ended
+LineSearchFailure, NonFinite (h or grad h not finite) or RankDeficient (a
+last iterate too close to rank deficient to project).
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ def _cells(row):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Validated benchmark request."""
+    """Validated benchmark request.
+
+    RandomSpec checks n, p and seed, and SolverConfig checks grad_tol and
+    max_iters and supplies their defaults.
+    """
 
     problem: str
     n: int
@@ -56,8 +61,8 @@ class RunSpec:
     seed: int = 0
     repeats: int = 1
     beta_override: Optional[float] = None
-    grad_tol: float = 1e-3
-    max_iters: int = 10000
+    grad_tol: float = SolverConfig.grad_tol
+    max_iters: int = SolverConfig.max_iters
     solver: str = "frcg"
 
     def __post_init__(self):
@@ -65,20 +70,14 @@ class RunSpec:
             raise DimensionError(f"unknown problem {self.problem!r}, expected one of {_PROBLEMS}")
         if self.solver not in _SOLVERS:
             raise DimensionError(f"unknown solver {self.solver!r}, expected one of {tuple(_SOLVERS)}")
-        if not (self.n >= self.p >= 1):
-            raise DimensionError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
+        RandomSpec(self.n, self.p, self.seed)
+        SolverConfig(self.grad_tol, self.max_iters)
         if self.problem == "nleig" and not (0.0 <= self.alpha < math.inf):
             raise DimensionError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        if self.seed < 0:
-            raise DimensionError(f"seed must be nonnegative, got {self.seed}")
         if self.repeats < 1:
             raise DimensionError(f"repeats must be >= 1, got {self.repeats}")
         if self.beta_override is not None and not (0.0 < self.beta_override < math.inf):
             raise DimensionError(f"beta must be positive and finite, got {self.beta_override}")
-        if not (self.grad_tol >= 0.0):
-            raise DimensionError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,8 @@ def run_benchmark(spec, *, trace=False, clock=time.perf_counter):
         reports.append(solve(model, X0, config, clock=clock))
         betas.append(beta)
 
-    f_ref = min(rep.fval for rep in reports)
+    # a RankDeficient repeat's fval is nan, and min returns nan when a nan comes first
+    f_ref = min((rep.fval for rep in reports if math.isfinite(rep.fval)), default=math.nan)
     k = float(len(reports))
     row = TableRow(
         solver=spec.solver,
@@ -164,7 +164,8 @@ def emit_outputs(rows, traces, fmt, destination, *, metadata=None):
     """Write table and trace files under `destination`; returns the paths written.
 
     CSV columns and headers are fixed; floats carry 9 significant digits.
-    JSON mirrors the TableRow fields exactly so rows round-trip.
+    JSON mirrors the TableRow fields exactly so rows round-trip. One trace
+    CSV per repeat is written whenever traces are given, in every format.
     """
     if not rows:
         raise DimensionError("emit_outputs needs at least one row")
@@ -189,14 +190,12 @@ def emit_outputs(rows, traces, fmt, destination, *, metadata=None):
     if fmt in ("csv", "both"):
         lines = [TABLE_HEADER] + [",".join(_cells(row)) for row in rows]
         _write("table.csv", "\n".join(lines) + "\n")
-        if traces:
-            for r, rows_r in enumerate(traces):
-                tlines = [TRACE_HEADER]
-                for k, h, gnorm, feas, gap in rows_r:
-                    tlines.append(
-                        f"{int(k)},{_fmt(h)},{_fmt(gnorm)},{_fmt(feas)},{_fmt(gap)}"
-                    )
-                _write(f"trace_{r:03d}.csv", "\n".join(tlines) + "\n")
+
+    for r, rows_r in enumerate(traces or ()):
+        tlines = [TRACE_HEADER]
+        for k, h, gnorm, feas, gap in rows_r:
+            tlines.append(f"{int(k)},{_fmt(h)},{_fmt(gnorm)},{_fmt(feas)},{_fmt(gap)}")
+        _write(f"trace_{r:03d}.csv", "\n".join(tlines) + "\n")
 
     if fmt in ("json", "both"):
         doc = {
@@ -220,21 +219,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    # run parameters left unset stay out of the namespace, so RunSpec's
+    # defaults apply; only the output options default here
     parser = _Parser(
         prog="expen-bench",
         description="Penalty-model benchmark runner for orthogonality-constrained problems.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--problem", required=True, choices=list(_PROBLEMS))
     parser.add_argument("--n", type=int, required=True, help="number of rows")
     parser.add_argument("--p", type=int, required=True, help="number of columns")
-    parser.add_argument("--alpha", type=float, default=1.0, help="nleig coupling weight")
-    parser.add_argument("--seed", type=int, default=0, help="base seed; repeat r uses seed+r")
-    parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument("--beta", type=float, default=None, help="penalty override (default: rule)")
-    parser.add_argument("--grad-tol", type=float, default=1e-3)
-    parser.add_argument("--max-iters", type=int, default=10000)
-    parser.add_argument("--solver", choices=sorted(_SOLVERS), default="frcg")
-    parser.add_argument("--trace", action="store_true", help="write per-iteration trace CSVs")
+    parser.add_argument("--alpha", type=float, help="nleig coupling weight")
+    parser.add_argument("--seed", type=int, help="base seed; repeat r uses seed+r")
+    parser.add_argument("--repeats", type=int)
+    parser.add_argument(
+        "--beta", type=float, dest="beta_override", metavar="BETA", help="penalty override (default: rule)"
+    )
+    parser.add_argument("--grad-tol", type=float)
+    parser.add_argument("--max-iters", type=int)
+    parser.add_argument("--solver", choices=sorted(_SOLVERS))
+    parser.add_argument("--trace", action="store_true", default=False, help="write per-iteration trace CSVs")
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--format", choices=list(_FORMATS), default="both")
     return parser
@@ -243,19 +247,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        spec = RunSpec(
-            problem=args.problem,
-            n=args.n,
-            p=args.p,
-            alpha=args.alpha,
-            seed=args.seed,
-            repeats=args.repeats,
-            beta_override=args.beta,
-            grad_tol=args.grad_tol,
-            max_iters=args.max_iters,
-            solver=args.solver,
-        )
+        args = vars(parser.parse_args(argv))
+        trace, out_dir, fmt = args.pop("trace"), args.pop("out_dir"), args.pop("format")
+        spec = RunSpec(**args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -264,7 +258,7 @@ def main(argv=None):
         return 1
 
     try:
-        result = run_benchmark(spec, trace=args.trace)
+        result = run_benchmark(spec, trace=trace)
     except ExPenError as exc:
         print(f"error: benchmark run failed: {exc}", file=sys.stderr)
         return 2
@@ -275,18 +269,16 @@ def main(argv=None):
         "betas": list(result.betas),
         "terminations": list(result.terminations),
     }
-    paths = emit_outputs(
-        [result.row], result.traces, args.format, args.out_dir, metadata=metadata
-    )
+    paths = emit_outputs([result.row], result.traces, fmt, out_dir, metadata=metadata)
 
     print(TABLE_HEADER.replace(",", "  "))
     print("  ".join(_cells(result.row)))
     for path in paths:
         print(f"wrote {path}")
 
-    failed = (Termination.LINE_SEARCH_FAILURE.value, Termination.NON_FINITE.value)
-    if all(t in failed for t in result.terminations):
-        print("error: line search failed or went non-finite on every repeat", file=sys.stderr)
+    failed = (Termination.LINE_SEARCH_FAILURE, Termination.NON_FINITE, Termination.RANK_DEFICIENT)
+    if all(Termination(t) in failed for t in result.terminations):
+        print("error: line search failed, went non-finite or lost rank on every repeat", file=sys.stderr)
         return 2
     return 0
 

@@ -55,8 +55,6 @@ def nleig_make(n, p, alpha=1.0):
         Nonnegative, finite coupling weight of the quartic term. The
         experiments leave it a free knob; 1.0 is the neutral default.
     """
-    if not (n >= p >= 1):
-        raise DimensionError(f"need n >= p >= 1, got n={n}, p={p}")
     if not (alpha >= 0.0 and np.isfinite(alpha)):
         raise DimensionError(f"alpha must be nonnegative and finite, got {alpha}")
     L = laplacian_1d(n)
@@ -114,9 +112,6 @@ def brockett_make(B, C):
         raise DimensionError("B must be symmetric")
     if np.linalg.norm(C - C.T) > 1e-12 * (1.0 + np.linalg.norm(C)):
         raise DimensionError("C must be symmetric")
-    n, p = B.shape[0], C.shape[0]
-    if n < p:
-        raise DimensionError(f"need n >= p, got n={n}, p={p}")
 
     def value(X):
         return 0.5 * inner(X, B @ X @ C)
@@ -127,7 +122,7 @@ def brockett_make(B, C):
     def hess_vec(X, D):
         return B @ D @ C
 
-    return SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
+    return SmoothObjective(n=B.shape[0], p=C.shape[0], value=value, gradient=gradient, hess_vec=hess_vec)
 
 
 def constant_make(n, p, level=0.0):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DimensionError, LineSearchError, NonDescentError
+from .exceptions import DegenerateProjectionError, DimensionError, LineSearchError, NonDescentError
 from .geometry import feasibility, project_stiefel, riemannian_grad
 from .linalg import fnorm, inner
 
@@ -61,6 +61,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.grad_tol >= 0.0):
             raise DimensionError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if self.grad_tol == math.inf:
+            raise DimensionError(f"grad_tol must be finite, got {self.grad_tol}")
         if not (self.max_iters >= 1):
             raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -90,6 +92,7 @@ class Termination(enum.Enum):
     MAX_ITERS = "MaxIters"
     LINE_SEARCH_FAILURE = "LineSearchFailure"
     NON_FINITE = "NonFinite"
+    RANK_DEFICIENT = "RankDeficient"
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +103,16 @@ class SolverReport:
     after projection onto the manifold; raw_point and the raw_* fields keep
     the last iterate as the loop left it, so certified-bound checks can see
     both sides. termination_detail keeps the class and text of the line
-    search error behind a LineSearchFailure, and is "" otherwise. A run at
-    whose iterate h or ||grad h|| is not finite ends NonFinite. value_calls
-    and grad_calls count the points at which the loop asked for h and for
-    grad h, the start included.
+    search error behind a LineSearchFailure. A run at whose iterate h or
+    ||grad h|| is not finite ends NonFinite. A run whose last iterate is too
+    close to rank deficient to project ends RankDeficient, with final_point
+    None and NaN fval, stationarity and feasibility; its termination_detail
+    names the loop's own stop and the projection error. termination_detail
+    is "" after every other stop. value_calls and grad_calls count the
+    points at which the loop asked for h and for grad h, the start included.
     """
 
-    final_point: np.ndarray
+    final_point: Optional[np.ndarray]
     fval: float
     iterations: int
     stationarity: float
@@ -294,19 +300,26 @@ def _descent_loop(model, X0, config, use_cg, clock):
         record(0.0, 0.0, 0.0)
 
     wall = clock() - start
-    raw_feas = feasibility(X)
-    P = project_stiefel(X)
+    try:
+        P = project_stiefel(X)
+    except DegenerateProjectionError as exc:
+        stop = f"{termination.value} ({detail})" if detail else termination.value
+        detail = f"{stop}, then {type(exc).__name__}: {exc}"
+        termination = Termination.RANK_DEFICIENT
+        P, fval, stationarity, feas = None, math.nan, math.nan, math.nan
+    else:
+        fval, stationarity, feas = float(obj.value(P)), fnorm(riemannian_grad(obj, P)), feasibility(P)
     return SolverReport(
         final_point=P,
-        fval=float(obj.value(P)),
+        fval=fval,
         iterations=k,
-        stationarity=fnorm(riemannian_grad(obj, P)),
-        feasibility=feasibility(P),
+        stationarity=stationarity,
+        feasibility=feas,
         wall_seconds=wall,
         termination=termination,
         raw_point=X,
         raw_grad_h_norm=gnorm,
-        raw_feasibility=raw_feas,
+        raw_feasibility=feasibility(X),
         value_calls=value_calls,
         grad_calls=grad_calls,
         trace=tuple(trace) if trace is not None else None,

@@ -199,8 +199,6 @@ def strict_saddle_check(beta, *, tolerance=1e-10, name="strict_saddle"):
     clears the -beta/24 escape threshold. Checked by dense eigensolve on
     3 x 2 matrices.
     """
-    if not (beta > 0.0):
-        raise DimensionError(f"beta must be positive, got {beta}")
     n, p = 3, 2
     model = ExPenModel(constant_make(n, p), beta)
     H = assemble_hessian(model, np.zeros((n, p)))

@@ -40,6 +40,7 @@ class TestRunSpec:
             {"max_iters": 0},
             {"beta_override": float("inf")},
             {"problem": "nleig", "alpha": float("inf")},
+            {"grad_tol": float("inf")},
         ],
     )
     def test_invalid_spec_rejected(self, overrides):
@@ -177,6 +178,12 @@ class TestMain:
         assert (tmp_path / "trace_000.csv").exists()
         assert (tmp_path / "trace_001.csv").exists()
 
+    def test_trace_flag_writes_trace_files_with_json_format(self, tmp_path):
+        code = ep.main(self._argv(tmp_path, "--trace", "--repeats", "2", "--format", "json"))
+        assert code == 0
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["table.json", "trace_000.csv", "trace_001.csv"]
+
     def test_metadata_records_spec_and_betas(self, tmp_path):
         assert ep.main(self._argv(tmp_path)) == 0
         doc = json.loads((tmp_path / "table.json").read_text())
@@ -198,7 +205,9 @@ class TestMain:
         assert code == 1
         assert "invalid run specification" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [("--beta", "inf"), ("--problem", "nleig", "--alpha", "inf")])
+    @pytest.mark.parametrize(
+        "extra", [("--beta", "inf"), ("--problem", "nleig", "--alpha", "inf"), ("--grad-tol", "inf")]
+    )
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, extra):
         code = ep.main(self._argv(tmp_path, *extra))
         assert code == 1
@@ -241,3 +250,37 @@ class TestMain:
         assert code == expected
         assert ("went non-finite" in capsys.readouterr().err) == (expected == 2)
         assert (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "ends, expected",
+        [
+            (("RANK_DEFICIENT", "RANK_DEFICIENT"), 2),
+            (("LINE_SEARCH_FAILURE", "RANK_DEFICIENT"), 2),
+            (("RANK_DEFICIENT", "GRAD_TOL"), 0),
+        ],
+    )
+    def test_rank_deficient_repeats_count_as_failures(self, tmp_path, monkeypatch, capsys, ends, expected):
+        real_solve = ep.frcg_solve
+        ends = iter(ends)
+        fvals = []
+
+        def ending_solve(model, X0, config, **kwargs):
+            report = real_solve(model, X0, config, **kwargs)
+            end = ep.Termination[next(ends)]
+            if end is ep.Termination.RANK_DEFICIENT:
+                nan = float("nan")
+                report = dataclasses.replace(
+                    report, final_point=None, fval=nan, stationarity=nan, feasibility=nan
+                )
+            fvals.append(report.fval)
+            return dataclasses.replace(report, termination=end)
+
+        monkeypatch.setitem(expen.cli._SOLVERS, "frcg", ending_solve)
+        code = ep.main(self._argv(tmp_path, "--repeats", "2"))
+        assert code == expected
+        assert ("lost rank" in capsys.readouterr().err) == (expected == 2)
+        meta = json.loads((tmp_path / "table.json").read_text())["metadata"]
+        # the reference value skips the NaN fval of a rank-deficient repeat,
+        # wherever it comes
+        finite = [f for f in fvals if np.isfinite(f)]
+        assert (meta["f_ref"] == min(finite)) if finite else np.isnan(meta["f_ref"])

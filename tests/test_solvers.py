@@ -26,6 +26,7 @@ class TestSolverConfig:
             {"max_iters": -1},
             {"grad_tol": -1.0},
             {"max_iters": 0},
+            {"grad_tol": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -210,6 +211,28 @@ def test_nan_objective_never_ends_gradtol(solve, first_nan_call, nan_grad, termi
     else:
         assert report.termination_detail == ""
         assert (report.value_calls, report.grad_calls) == (1, 1)
+
+
+@pytest.mark.parametrize("solve", [ep.frcg_solve, ep.gd_solve])
+@pytest.mark.parametrize(
+    "X0, sigma_max", [(np.zeros((3, 2)), 0.0), (np.outer(np.eye(3)[0], np.eye(2)[0]), 1.0)]
+)
+def test_rank_deficient_last_iterate_still_reports(solve, X0, sigma_max):
+    # grad h vanishes at both starts, so the loop stops GradTol at once on a
+    # point the final projection cannot map onto the manifold
+    model = ep.ExPenModel(ep.constant_make(3, 2), beta=1.0)
+    report = solve(model, X0, ep.SolverConfig())
+    assert report.termination is ep.Termination.RANK_DEFICIENT
+    assert report.termination_detail == (
+        "GradTol, then DegenerateProjectionError: projection undefined: "
+        f"singular values range [0.000e+00, {sigma_max:.3e}]"
+    )
+    assert report.final_point is None
+    assert np.isnan([report.fval, report.stationarity, report.feasibility]).all()
+    assert report.iterations == 0
+    assert np.array_equal(report.raw_point, X0)
+    assert report.raw_grad_h_norm == 0.0
+    assert report.raw_feasibility == ep.feasibility(X0)
 
 
 class TestFrcgSolve:
