@@ -58,6 +58,17 @@ from .verify import (
     strict_saddle_check,
     tangent_basis,
 )
-from .cli import BenchResult, RunSpec, TableRow, emit_outputs, main, run_benchmark
 
 __version__ = "0.1.0"
+
+# The CLI names load on first use, so that `python -m expen.cli` finds no
+# expen.cli in sys.modules when it starts the module as __main__.
+_CLI_NAMES = ("BenchResult", "RunSpec", "TableRow", "emit_outputs", "main", "run_benchmark")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,8 +6,9 @@ the solver runs to the gradient tolerance, and the final iterate is projected
 onto the manifold before scoring. Numeric columns are averaged over repeats.
 
 Exit codes: 0 success, 1 invalid run specification, 2 every repeat ended
-LineSearchFailure, NonFinite (h or grad h not finite) or RankDeficient (a
-last iterate too close to rank deficient to project).
+LineSearchFailure, NonFinite (h or grad h not finite), RankDeficient (a
+last iterate too close to rank deficient to project) or GradTol uncertified
+(outside the region where the stationarity certificate holds).
 """
 
 from __future__ import annotations
@@ -268,6 +269,7 @@ def main(argv=None):
         "f_ref": result.f_ref,
         "betas": list(result.betas),
         "terminations": list(result.terminations),
+        "certified": [rep.certified for rep in result.reports],
     }
     paths = emit_outputs([result.row], result.traces, fmt, out_dir, metadata=metadata)
 
@@ -277,8 +279,14 @@ def main(argv=None):
         print(f"wrote {path}")
 
     failed = (Termination.LINE_SEARCH_FAILURE, Termination.NON_FINITE, Termination.RANK_DEFICIENT)
-    if all(Termination(t) in failed for t in result.terminations):
-        print("error: line search failed, went non-finite or lost rank on every repeat", file=sys.stderr)
+    if all(
+        rep.termination in failed or (rep.termination is Termination.GRAD_TOL and not rep.certified)
+        for rep in result.reports
+    ):
+        print(
+            "error: line search failed, went non-finite, lost rank or stopped uncertified on every repeat",
+            file=sys.stderr,
+        )
         return 2
     return 0
 

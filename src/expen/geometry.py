@@ -39,8 +39,8 @@ def feasibility(X):
 def project_stiefel(X):
     """Nearest column-orthonormal matrix, U V^T from the economic SVD of an n x p X, n >= p.
 
-    Raises NumericalError when the SVD does not converge, and
-    DegenerateProjectionError when X is numerically rank deficient
+    Raises NumericalError when X has a non-finite entry or the SVD does not
+    converge, and DegenerateProjectionError when X is numerically rank deficient
     (smallest singular value at most 1e-12 times the largest): the nearest
     point is not unique there, and silently picking one would poison
     downstream stationarity numbers.
@@ -48,6 +48,9 @@ def project_stiefel(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
         raise DimensionError(f"project_stiefel expects n x p with n >= p, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        # an inf entry gives NaN singular values, which would pass the rank test below
+        raise NumericalError(f"cannot project a {X.shape[0]}x{X.shape[1]} matrix with non-finite entries")
     try:
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:

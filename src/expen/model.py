@@ -86,11 +86,6 @@ def _amat(S):
     return A
 
 
-def _jac(X, A, D):
-    """The Jacobian of the smoothing map at X applied to D or to each slice of a stack D."""
-    return D @ A - X @ sym(D.swapaxes(-1, -2) @ X)
-
-
 def apen_map(X):
     """The smoothing map X -> X A(X) with A(X) = (3/2) I - (1/2) X^T X.
 
@@ -107,19 +102,16 @@ def jx_apply(X, D):
     """
     X = _check_tall(X, "jx_apply")
     D = _check_point(D, *X.shape, "D")
-    return _jac(X, _amat(X.T @ X), D)
+    return D @ _amat(X.T @ X) - X @ sym(D.T @ X)
 
 
 def smoothed_grad(obj, X):
     """Gradient of X -> f(X A(X)): G A(X) - X sym(X^T G) with G = grad f(X A(X)).
 
-    This is the penalty-free part of the model gradient; the identity checks
-    in the verify module exercise it directly.
+    This is the model gradient at beta = 0; the identity checks in the verify
+    module exercise it directly.
     """
-    X = _check_point(X, obj.n, obj.p)
-    A = _amat(X.T @ X)
-    G = np.asarray(obj.gradient(X @ A), dtype=float)
-    return _jac(X, A, G)
+    return Evaluation(obj, 0.0, _check_point(X, obj.n, obj.p)).grad()
 
 
 def default_beta(obj, X0):
@@ -172,7 +164,8 @@ class ExPenModel:
 
 
 class Evaluation:
-    """The penalty oracles at a point X that must not change, from ExPenModel.at.
+    """The penalty oracles at a point X that must not change, from ExPenModel.at
+    (or at beta = 0 from smoothed_grad).
 
     A(X), R = X^T X - I, Y = X A and, when first needed, G = grad f(Y) are formed once.
     """

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DegenerateProjectionError, DimensionError, LineSearchError, NonDescentError
+from .exceptions import DegenerateProjectionError, DimensionError, LineSearchError, NonDescentError, NumericalError
 from .geometry import feasibility, project_stiefel, riemannian_grad
 from .linalg import fnorm, inner
 
@@ -69,21 +69,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterTrace:
-    """One recorded iteration.
+    """One recorded iterate X_k, holding the columns of the CLI trace CSV.
 
-    Fields describe the iterate X_k (h_val, grad_h_norm, feas, f_val) and the
-    step taken from it (step, dir_norm, zoutendijk, the summand
-    <grad h, D>^2 / ||D||^2 of the convergence theory's series). The terminal
-    row carries the final iterate with zero step fields.
+    h_val is h(X_k), grad_h_norm ||grad h(X_k)||_F, feas ||X_k^T X_k - I||_F
+    and f_val f(X_k). The last row carries the final iterate.
     """
 
     k: int
     h_val: float
     grad_h_norm: float
     feas: float
-    step: float
-    dir_norm: float
-    zoutendijk: float
     f_val: float
 
 
@@ -106,9 +101,15 @@ class SolverReport:
     search error behind a LineSearchFailure. A run at whose iterate h or
     ||grad h|| is not finite ends NonFinite. A run whose last iterate is too
     close to rank deficient to project ends RankDeficient, with final_point
-    None and NaN fval, stationarity and feasibility; its termination_detail
-    names the loop's own stop and the projection error. termination_detail
-    is "" after every other stop. value_calls and grad_calls count the
+    None and NaN fval, stationarity and feasibility; a last iterate with a
+    non-finite entry keeps the loop's stop and gets the same fields. Either
+    way termination_detail names the loop's own stop and the projection
+    error. termination_detail is "" after every other stop.
+
+    certified is True only for a GradTol stop at a raw iterate inside the
+    region where the stationarity certificate holds: raw_feasibility at most
+    1/6 and at most (4/beta) raw_grad_h_norm. Outside it a small grad h says
+    nothing about the projected point. value_calls and grad_calls count the
     points at which the loop asked for h and for grad h, the start included.
     """
 
@@ -122,6 +123,7 @@ class SolverReport:
     raw_point: np.ndarray
     raw_grad_h_norm: float
     raw_feasibility: float
+    certified: bool
     value_calls: int
     grad_calls: int
     trace: Optional[tuple] = None
@@ -201,19 +203,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
 
     trace = [] if config.trace_enabled else None
 
-    def record(step, dir_norm, zoutendijk):
-        trace.append(
-            IterTrace(
-                k=k,
-                h_val=h,
-                grad_h_norm=gnorm,
-                feas=feasibility(X),
-                step=step,
-                dir_norm=dir_norm,
-                zoutendijk=zoutendijk,
-                f_val=float(obj.value(X)),
-            )
-        )
+    def record():
+        trace.append(IterTrace(k=k, h_val=h, grad_h_norm=gnorm, feas=feasibility(X), f_val=float(obj.value(X))))
 
     # the evaluation at X + t*D, h and grad h for the latest line-search trial;
     # by strong_wolfe's call order it is the accepted point once it returns
@@ -257,12 +248,10 @@ def _descent_loop(model, X0, config, use_cg, clock):
         # d0 is dphi(0); after a restart gD = -||g||^2 differs from it in
         # the last bits, so it is recomputed there
         gD = d0 = inner(g, D)
-        dnorm = fnorm(D)
         # restart guard: the theory needs strict descent, which the FR update
         # can lose; reset to steepest descent when it does
-        if gD >= -1e-12 * gnorm * dnorm:
+        if gD >= -1e-12 * gnorm * fnorm(D):
             D = -g
-            dnorm = gnorm
             gD = -(gnorm * gnorm)
             d0 = inner(g, D)
 
@@ -280,7 +269,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
             break
 
         if trace is not None:
-            record(eta, dnorm, (gD * gD) / (dnorm * dnorm))
+            record()
 
         ev, h, g_next = last
         X = ev.X
@@ -297,18 +286,24 @@ def _descent_loop(model, X0, config, use_cg, clock):
         k += 1
 
     if trace is not None:
-        record(0.0, 0.0, 0.0)
+        record()
 
     wall = clock() - start
     try:
         P = project_stiefel(X)
-    except DegenerateProjectionError as exc:
+    except (DegenerateProjectionError, NumericalError) as exc:
         stop = f"{termination.value} ({detail})" if detail else termination.value
         detail = f"{stop}, then {type(exc).__name__}: {exc}"
-        termination = Termination.RANK_DEFICIENT
+        if isinstance(exc, DegenerateProjectionError):
+            termination = Termination.RANK_DEFICIENT
         P, fval, stationarity, feas = None, math.nan, math.nan, math.nan
     else:
         fval, stationarity, feas = float(obj.value(P)), fnorm(riemannian_grad(obj, P)), feasibility(P)
+    raw_feas = feasibility(X)
+    # the region of the stationarity certificate, tested as perfbench/checks.py tests it
+    certified = (
+        termination is Termination.GRAD_TOL and raw_feas <= 1.0 / 6.0 and raw_feas <= 4.0 / model.beta * gnorm + 1e-12
+    )
     return SolverReport(
         final_point=P,
         fval=fval,
@@ -319,7 +314,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
         termination=termination,
         raw_point=X,
         raw_grad_h_norm=gnorm,
-        raw_feasibility=feasibility(X),
+        raw_feasibility=raw_feas,
+        certified=certified,
         value_calls=value_calls,
         grad_calls=grad_calls,
         trace=tuple(trace) if trace is not None else None,

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,6 +195,7 @@ class TestMain:
         assert meta["spec"]["beta_override"] == 20.0
         assert meta["betas"] == [20.0]
         assert meta["terminations"] == ["GradTol"]
+        assert meta["certified"] == [True]
 
     def test_unknown_problem_exits_one(self, tmp_path, capsys):
         code = ep.main(["--problem", "bogus", "--n", "4", "--p", "2",
@@ -228,6 +232,17 @@ class TestMain:
         assert "line search failed" in capsys.readouterr().err
         # outputs are still written so a failed benchmark remains inspectable
         assert (tmp_path / "table.csv").exists()
+
+    def test_uncertified_gradtol_stop_exits_two(self, tmp_path, capsys):
+        # nleig 60x8 seed 0 stops GradTol at raw feasibility 1.01, outside
+        # the region 1/6 where a small grad h certifies the projected point
+        code = ep.main(["--problem", "nleig", "--n", "60", "--p", "8", "--seed", "0",
+                        "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "stopped uncertified" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "table.json").read_text())["metadata"]
+        assert meta["terminations"] == ["GradTol"]
+        assert meta["certified"] == [False]
 
     @pytest.mark.parametrize(
         "ends, expected",
@@ -284,3 +299,17 @@ class TestMain:
         # wherever it comes
         finite = [f for f in fvals if np.isfinite(f)]
         assert (meta["f_ref"] == min(finite)) if finite else np.isnan(meta["f_ref"])
+
+
+def test_python_m_runs_without_runtime_warning(tmp_path):
+    # importing the package must not import expen.cli, or runpy warns that
+    # the module it is about to run as __main__ is already loaded
+    src = os.path.dirname(os.path.dirname(ep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "expen.cli", "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: expen-bench")
+    assert proc.stderr == ""

@@ -63,10 +63,12 @@ class TestProjectStiefel:
             ep.project_stiefel(np.zeros((2, 5)))
 
     def test_nan_entry_raises_numerical_error(self):
-        X = np.ones((4, 2))
-        X[1, 0] = np.nan
-        with pytest.raises(NumericalError):
-            ep.project_stiefel(X)
+        # an inf entry too: its SVD has NaN singular values, which no rank test rejects
+        for entry in (np.nan, np.inf, -np.inf):
+            X = np.ones((4, 2))
+            X[1, 0] = entry
+            with pytest.raises(NumericalError, match="non-finite entries"):
+                ep.project_stiefel(X)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_distance_bounded_by_feasibility(self, seed):
