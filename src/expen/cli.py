@@ -270,6 +270,7 @@ def main(argv=None):
         "betas": list(result.betas),
         "terminations": list(result.terminations),
         "certified": [rep.certified for rep in result.reports],
+        "termination_detail": [rep.termination_detail for rep in result.reports],
     }
     paths = emit_outputs([result.row], result.traces, fmt, out_dir, metadata=metadata)
 

@@ -45,7 +45,8 @@ def nleig_make(n, p, alpha=1.0):
     at one point costs one solve and one three-pass application of H. A hit
     returns the same bits as a miss, and gradient returns a fresh copy. Each
     entry is published as one immutable tuple in a single assignment, so the
-    objective can be shared between threads.
+    objective can be shared between threads. At a point whose rho is not
+    finite, value and gradient are NaN.
 
     Parameters
     ----------
@@ -75,7 +76,10 @@ def nleig_make(n, p, alpha=1.0):
         entry = memo
         if entry is None or entry[0] != key:
             rho = np.einsum("ij,ij->i", X, X)
-            z = tridiag_solve(L, rho)
+            try:
+                z = tridiag_solve(L, rho)
+            except ValueError:  # rho is not finite; value and gradient are then NaN
+                z = np.full(n, np.nan)
             HX = hamiltonian(z, X)
             HX.setflags(write=False)
             entry = memo = (key, rho, z, HX)

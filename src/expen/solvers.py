@@ -13,6 +13,8 @@ import enum
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -130,104 +132,105 @@ class SolverReport:
     termination_detail: str = ""
 
 
-def strong_wolfe(phi, dphi, initial_step=1.0):
-    """Find a step satisfying the strong Wolfe conditions for phi.
+def strong_wolfe(f0, d0, line, initial_step=1.0):
+    """Find a trial along a line that satisfies the strong Wolfe conditions.
 
-    Conditions at the returned eta, with delta = 1e-4 and sigma = 0.4:
-        phi(eta) <= phi(0) + delta * eta * dphi(0)
-        |dphi(eta)| <= -sigma * dphi(0)
+    f0 and d0 are h and its slope at the start of the line; line(t) returns
+    the trial at step t > 0, which holds t and h there and whose slope() is
+    the slope of h at t, asked at most once. Conditions at the returned
+    trial, with delta = 1e-4 and sigma = 0.4:
+        h <= f0 + delta * t * d0
+        |slope()| <= -sigma * d0
 
     Bracketing starts from initial_step and doubles; an interval
-    containing acceptable points is then refined by bisection. Raises
-    DimensionError when initial_step is not positive, NonDescentError when
-    dphi(0) >= 0, LineSearchError when the trial step exceeds 1e10 or
-    refinement exhausts its budget. A trial whose phi is NaN fails the
+    containing acceptable points is then refined by bisection. An interval
+    too short to split returns the trial at its lower end, if that lies
+    beyond the start and below f0. Raises DimensionError when initial_step
+    is not positive, NonDescentError when d0 >= 0, LineSearchError when the
+    trial step exceeds 1e10, the interval collapses otherwise, or refinement
+    exhausts its budget. A trial whose h is NaN fails the
     sufficient-decrease condition.
-
-    Call order, which callers may rely on: after dphi(0) and phi(0), each
-    dphi(t) comes right after phi(t) at the same t, and the returned eta is
-    the last t passed to both. A caller can therefore keep only the latest
-    trial and read the accepted point from it.
     """
     if not (initial_step > 0.0):
         raise DimensionError(f"initial_step must be positive, got {initial_step}")
-    d0 = dphi(0.0)
     if d0 >= 0.0:
         raise NonDescentError(f"directional derivative at 0 is {d0:.3e}, not a descent direction")
-    f0 = phi(0.0)
 
-    def zoom(lo, hi, flo):
-        for _ in range(_MAX_ZOOM):
-            t = 0.5 * (lo + hi)
-            ft = phi(t)
-            if not ft <= f0 + _DELTA * t * d0 or ft >= flo:
+    def zoom(lo, hi):
+        # lo is the trial (or the start) with the least h so far, hi the other end
+        for refinement in range(_MAX_ZOOM):
+            t = 0.5 * (lo.t + hi)
+            if t == lo.t or t == hi:
+                if lo.t > 0.0 and lo.h < f0:
+                    return lo
+                raise LineSearchError(f"zoom interval collapsed at step {t:.3e} after {refinement} refinements")
+            trial = line(t)
+            if not trial.h <= f0 + _DELTA * t * d0 or trial.h >= lo.h:
                 hi = t
             else:
-                dt = dphi(t)
+                dt = trial.slope()
                 if abs(dt) <= -_SIGMA * d0:
-                    return t
-                if dt * (hi - lo) >= 0.0:
-                    hi = lo
-                lo, flo = t, ft
+                    return trial
+                if dt * (hi - lo.t) >= 0.0:
+                    hi = lo.t
+                lo = trial
         raise LineSearchError(f"zoom exhausted after {_MAX_ZOOM} refinements")
 
-    t_prev, f_prev = 0.0, f0
+    prev = SimpleNamespace(t=0.0, h=f0)  # the start of the line
     t = initial_step
     for expansion in range(_MAX_EXPANSIONS):
         if t > _STEP_CAP:
             raise LineSearchError(f"trial step {t:.3e} exceeded cap {_STEP_CAP:.0e}")
-        ft = phi(t)
-        if not ft <= f0 + _DELTA * t * d0 or (expansion > 0 and ft >= f_prev):
-            return zoom(t_prev, t, f_prev)
-        dt = dphi(t)
+        trial = line(t)
+        if not trial.h <= f0 + _DELTA * t * d0 or (expansion > 0 and trial.h >= prev.h):
+            return zoom(prev, t)
+        dt = trial.slope()
         if abs(dt) <= -_SIGMA * d0:
-            return t
+            return trial
         if dt >= 0.0:
-            return zoom(t, t_prev, ft)
-        t_prev, f_prev = t, ft
+            return zoom(trial, prev.t)
+        prev = trial
         t *= 2.0
     raise LineSearchError(f"bracketing exhausted after {_MAX_EXPANSIONS} expansions")
 
 
+class _Trial:
+    """The line-search trial at X + tD: the step t, its Evaluation ev and h there.
+
+    grad h is formed on first request; calls counts the h and grad h formed.
+    """
+
+    def __init__(self, calls, model, X, D, t):
+        Xt = t * D
+        Xt += X
+        self.t, self.D, self.calls, self.ev = t, D, calls, model.at(Xt)
+        self.h = self.ev.value()
+        calls[0] += 1
+
+    @cached_property
+    def grad(self):
+        self.calls[1] += 1
+        return self.ev.grad()
+
+    def slope(self):
+        return inner(self.grad, self.D)
+
+
 def _descent_loop(model, X0, config, use_cg, clock):
-    X = np.array(X0, dtype=float, copy=True)
     obj = model.objective
 
     start = clock()
-    ev = model.at(X)  # checks the shape of X0
+    ev = model.at(np.array(X0, dtype=float, copy=True))  # checks the shape of X0
     h = ev.value()
     g = ev.grad()
-    value_calls = grad_calls = 1
+    calls = [1, 1]  # h and grad h formed, the start included
     gnorm = fnorm(g)
     D = -g
 
     trace = [] if config.trace_enabled else None
 
     def record():
-        trace.append(IterTrace(k=k, h_val=h, grad_h_norm=gnorm, feas=feasibility(X), f_val=float(obj.value(X))))
-
-    # the evaluation at X + t*D, h and grad h for the latest line-search trial;
-    # by strong_wolfe's call order it is the accepted point once it returns
-    last = None
-
-    def phi(t):
-        nonlocal last, value_calls
-        if t == 0.0:
-            return h
-        Xt = t * D
-        Xt += X
-        ev = model.at(Xt)
-        last = [ev, ev.value(), None]
-        value_calls += 1
-        return last[1]
-
-    def dphi(t):
-        nonlocal grad_calls
-        if t == 0.0:
-            return d0
-        last[2] = last[0].grad()
-        grad_calls += 1
-        return inner(last[2], D)
+        trace.append(IterTrace(k=k, h_val=h, grad_h_norm=gnorm, feas=fnorm(ev.R), f_val=float(obj.value(ev.X))))
 
     eta_prev = None
     gD_prev = None
@@ -245,8 +248,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
             termination = Termination.MAX_ITERS
             break
 
-        # d0 is dphi(0); after a restart gD = -||g||^2 differs from it in
-        # the last bits, so it is recomputed there
+        # d0 is the slope of h along D; after a restart the warm start reads
+        # gD = -||g||^2, which differs from d0 in the last bits
         gD = d0 = inner(g, D)
         # restart guard: the theory needs strict descent, which the FR update
         # can lose; reset to steepest descent when it does
@@ -256,13 +259,13 @@ def _descent_loop(model, X0, config, use_cg, clock):
             d0 = inner(g, D)
 
         if eta_prev is None:
-            trial = 1.0
+            initial = 1.0
         else:
-            trial = eta_prev * gD_prev / gD
-            trial = min(max(trial, _TRIAL_MIN), _TRIAL_MAX)
+            initial = eta_prev * gD_prev / gD
+            initial = min(max(initial, _TRIAL_MIN), _TRIAL_MAX)
 
         try:
-            eta = strong_wolfe(phi, dphi, initial_step=trial)
+            accepted = strong_wolfe(h, d0, partial(_Trial, calls, model, ev.X, D), initial_step=initial)
         except LineSearchError as exc:
             termination = Termination.LINE_SEARCH_FAILURE
             detail = f"{type(exc).__name__}: {exc}"
@@ -271,8 +274,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
         if trace is not None:
             record()
 
-        ev, h, g_next = last
-        X = ev.X
+        ev, h, g_next = accepted.ev, accepted.h, accepted.grad
         gnorm_next = fnorm(g_next)
 
         if use_cg:
@@ -281,7 +283,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
             D -= g_next
         else:
             D = -g_next
-        eta_prev, gD_prev = eta, gD
+        eta_prev, gD_prev = accepted.t, gD
         g, gnorm = g_next, gnorm_next
         k += 1
 
@@ -290,7 +292,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
 
     wall = clock() - start
     try:
-        P = project_stiefel(X)
+        P = project_stiefel(ev.X)
     except (DegenerateProjectionError, NumericalError) as exc:
         stop = f"{termination.value} ({detail})" if detail else termination.value
         detail = f"{stop}, then {type(exc).__name__}: {exc}"
@@ -299,7 +301,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
         P, fval, stationarity, feas = None, math.nan, math.nan, math.nan
     else:
         fval, stationarity, feas = float(obj.value(P)), fnorm(riemannian_grad(obj, P)), feasibility(P)
-    raw_feas = feasibility(X)
+    raw_feas = fnorm(ev.R)
     # the region of the stationarity certificate, tested as perfbench/checks.py tests it
     certified = (
         termination is Termination.GRAD_TOL and raw_feas <= 1.0 / 6.0 and raw_feas <= 4.0 / model.beta * gnorm + 1e-12
@@ -312,12 +314,12 @@ def _descent_loop(model, X0, config, use_cg, clock):
         feasibility=feas,
         wall_seconds=wall,
         termination=termination,
-        raw_point=X,
+        raw_point=ev.X,
         raw_grad_h_norm=gnorm,
         raw_feasibility=raw_feas,
         certified=certified,
-        value_calls=value_calls,
-        grad_calls=grad_calls,
+        value_calls=calls[0],
+        grad_calls=calls[1],
         trace=tuple(trace) if trace is not None else None,
         termination_detail=detail,
     )

@@ -156,10 +156,16 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
     Riemannian Hessian of f (assembled on an orthonormal tangent basis from
     the objective's own oracles) must appear among the eigenvalues of the
     penalty Hessian (assembled independently from the model oracle); the
-    leftover p(p+1)/2 eigenvalues must exceed the largest tangent eigenvalue
-    when beta is large. Matching is greedy nearest-eigenvalue without
-    replacement in ascending order, the lower eigenvalue winning a tie,
-    relative tolerance 1e-6 per eigenvalue.
+    leftover p(p+1)/2 eigenvalues must exceed the largest tangent eigenvalue.
+    Matching is greedy nearest-eigenvalue without replacement in ascending
+    order, the lower eigenvalue winning a tie, relative tolerance 1e-6 per
+    eigenvalue.
+
+    The leftover ones are the normal spectrum: with Sg = sym(X^T grad f(X))
+    and its eigenvalues mu, the penalty Hessian maps X S (S symmetric) to
+    X (2 beta S - (3/2)(Sg S + S Sg)), whose eigenvalues are
+    2 beta - (3/2)(mu_i + mu_j) for i <= j. The floor test therefore passes
+    iff 2 beta - 3 max(mu) exceeds the largest tangent eigenvalue.
     """
     Xstar = np.asarray(Xstar, dtype=float)
     n, p = Xstar.shape

@@ -196,6 +196,14 @@ class TestMain:
         assert meta["betas"] == [20.0]
         assert meta["terminations"] == ["GradTol"]
         assert meta["certified"] == [True]
+        assert meta["termination_detail"] == [""]
+        # a failed repeat keeps the text of the error behind its stop
+        argv = ["--problem", "brockett", "--n", "30", "--p", "4", "--seed", "1", "--beta", "50",
+                "--grad-tol", "1e-6", "--out-dir", str(tmp_path / "escape")]
+        assert ep.main(argv) == 2
+        meta = json.loads((tmp_path / "escape" / "table.json").read_text())["metadata"]
+        assert meta["terminations"] == ["LineSearchFailure"]
+        assert meta["termination_detail"] == ["LineSearchError: trial step 1.718e+10 exceeded cap 1e+10"]
 
     def test_unknown_problem_exits_one(self, tmp_path, capsys):
         code = ep.main(["--problem", "bogus", "--n", "4", "--p", "2",

@@ -1,6 +1,7 @@
 """Tests for the strong Wolfe search and the descent solvers."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,29 +37,41 @@ class TestSolverConfig:
             ep.SolverConfig(**kwargs)
 
 
+class _Point:
+    """A trial of strong_wolfe on the scalar line phi, whose slope is dphi."""
+
+    def __init__(self, phi, dphi, t):
+        self.t, self.h, self.dphi = t, phi(t), dphi
+
+    def slope(self):
+        return self.dphi(self.t)
+
+
+def _search(phi, dphi, initial_step=1.0):
+    """The trial strong_wolfe accepts along phi from t = 0."""
+    return ep.strong_wolfe(phi(0.0), dphi(0.0), partial(_Point, phi, dphi), initial_step=initial_step)
+
+
 class TestStrongWolfe:
     def test_analytic_minimizer_of_shifted_quadratic(self):
-        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0))
-        assert eta == 1.0
+        assert _search(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0)).t == 1.0
 
     def test_first_accept_returns_initial_trial(self):
-        eta = ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0),
-                              initial_step=0.95)
-        assert eta == 0.95
+        trial = _search(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), initial_step=0.95)
+        assert trial.t == 0.95
 
     @pytest.mark.parametrize("initial_step", [0.0, -1.0, float("nan")])
     def test_nonpositive_initial_step_rejected(self, initial_step):
         with pytest.raises(DimensionError):
-            ep.strong_wolfe(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0),
-                            initial_step=initial_step)
+            _search(lambda t: (t - 1.0) ** 2, lambda t: 2.0 * (t - 1.0), initial_step=initial_step)
 
     def test_non_descent_raises(self):
         with pytest.raises(NonDescentError):
-            ep.strong_wolfe(lambda t: t * t + t, lambda t: 2.0 * t + 1.0)
+            _search(lambda t: t * t + t, lambda t: 2.0 * t + 1.0)
 
     def test_unbounded_descent_fails(self):
         with pytest.raises(LineSearchError):
-            ep.strong_wolfe(lambda t: -t, lambda t: -1.0)
+            _search(lambda t: -t, lambda t: -1.0)
 
     def test_nan_trial_fails_sufficient_decrease(self):
         # dphi = 0 meets the curvature condition at every t > 0, so only the
@@ -67,14 +80,14 @@ class TestStrongWolfe:
             return 0.0 if t == 0.0 else float("nan")
 
         with pytest.raises(LineSearchError, match="zoom exhausted"):
-            ep.strong_wolfe(phi, lambda t: -1.0 if t == 0.0 else 0.0)
+            _search(phi, lambda t: -1.0 if t == 0.0 else 0.0)
 
     @pytest.mark.parametrize("minimizer", [0.01, 0.5, 3.0, 40.0])
     @pytest.mark.parametrize("curvature", [0.2, 1.0, 12.0])
     def test_conditions_hold_at_returned_step(self, minimizer, curvature):
         phi = lambda t: curvature * (t - minimizer) ** 2
         dphi = lambda t: 2.0 * curvature * (t - minimizer)
-        eta = ep.strong_wolfe(phi, dphi)
+        eta = _search(phi, dphi).t
         f0, d0 = phi(0.0), dphi(0.0)
         assert phi(eta) <= f0 + _DELTA * eta * d0 + 1e-15 * abs(f0)
         assert abs(dphi(eta)) <= -_SIGMA * d0
@@ -82,7 +95,7 @@ class TestStrongWolfe:
     def test_conditions_hold_on_nonquadratic(self):
         phi = lambda t: np.cosh(t - 2.0)
         dphi = lambda t: np.sinh(t - 2.0)
-        eta = ep.strong_wolfe(phi, dphi, initial_step=0.1)
+        eta = _search(phi, dphi, initial_step=0.1).t
         assert phi(eta) <= phi(0.0) + _DELTA * eta * dphi(0.0)
         assert abs(dphi(eta)) <= -_SIGMA * dphi(0.0)
 
@@ -102,34 +115,58 @@ class TestStrongWolfe:
              "zoom-flip", "zoom-overshoot", "zoom-cosh"],
     )
     def test_call_order_ends_on_accepted_step(self, phi, dphi, initial_step, path):
-        # The descent loop reads the accepted point from the last trial, so
-        # each dphi(t) must follow phi(t) at the same t, and the returned step
-        # must be the last t passed to dphi.
-        calls = []
+        # The steps the search tries follow its path (the initial step, its
+        # doublings, then bisections), each slope is asked at most once, and
+        # the search stops on the trial it returns.
+        made, asked = [], []
 
-        def phi_logged(t):
-            calls.append(("phi", t))
-            return phi(t)
+        class Logged(_Point):
+            def __init__(self, t):
+                super().__init__(phi, dphi, t)
+                made.append(self)
 
-        def dphi_logged(t):
-            calls.append(("dphi", t))
-            return dphi(t)
+            def slope(self):
+                asked.append(self)
+                return super().slope()
 
-        eta = ep.strong_wolfe(phi_logged, dphi_logged, initial_step=initial_step)
-        assert calls[:2] == [("dphi", 0.0), ("phi", 0.0)]
-        trials = calls[2:]
-        for i, (name, t) in enumerate(trials):
-            if name == "dphi":
-                assert i > 0 and trials[i - 1] == ("phi", t)
-        assert trials[-2:] == [("phi", eta), ("dphi", eta)]
-        steps = [t for name, t in trials if name == "phi"]
+        accepted = ep.strong_wolfe(phi(0.0), dphi(0.0), Logged, initial_step=initial_step)
+        assert made[-1] is accepted and asked[-1] is accepted
+        assert len(set(map(id, asked))) == len(asked)
+        steps = [trial.t for trial in made]
         doublings = [initial_step * 2.0**j for j in range(len(steps))]
         if path == "first":
             assert steps == [initial_step]
         elif path == "bracket":
             assert len(steps) > 1 and steps == doublings
         else:
-            assert eta not in doublings
+            assert accepted.t not in doublings
+
+    def test_collapsed_interval_returns_its_lower_trial(self):
+        # h levels off at t = 0.5, as it does once its decrease falls below
+        # rounding, while the slope still reads descent: bisection shrinks
+        # [0.5, 1] until it cannot split it, then returns the trial at 0.5
+        made = []
+
+        def line(t):
+            made.append(_Point(lambda s: max(1.0 - s, 0.5), lambda s: -1.0, t))
+            return made[-1]
+
+        accepted = ep.strong_wolfe(1.0, -1.0, line, initial_step=0.5)
+        assert accepted is made[0] and (accepted.t, accepted.h) == (0.5, 0.5)
+        assert [trial.t for trial in made[:3]] == [0.5, 1.0, 0.75]
+        assert len(made) < 2 + 60
+
+    def test_interval_whose_lower_end_stays_at_the_start_still_fails(self):
+        # every trial lies above h(0), so the lower end never leaves t = 0
+        made = []
+
+        def line(t):
+            made.append(_Point(lambda s: 1.0 + s, lambda s: 1.0, t))
+            return made[-1]
+
+        with pytest.raises(LineSearchError, match="zoom exhausted after 60 refinements"):
+            ep.strong_wolfe(1.0, -1.0, line)
+        assert len(made) == 1 + 60
 
 
 def _penalized_nleig(n, p, beta, alpha=1.0):
@@ -142,7 +179,7 @@ def _penalized_nleig(n, p, beta, alpha=1.0):
 def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
     # h and grad h are asked for once at X0 and once per line-search trial;
     # the accepted point is never evaluated again.
-    counts = {"value": 0, "grad": 0, "phi": 0, "dphi": 0}
+    counts = {"value": 0, "grad": 0, "trials": 0, "slopes": 0}
 
     def counting(name, oracle):
         def counted(evaluation):
@@ -155,25 +192,29 @@ def test_one_oracle_call_per_trial(monkeypatch, solve, trace_enabled):
     monkeypatch.setattr(ep.Evaluation, "grad", counting("grad", ep.Evaluation.grad))
     real_wolfe = expen.solvers.strong_wolfe
 
-    def counting_wolfe(phi, dphi, **kwargs):
-        def phi_c(t):
-            counts["phi"] += t != 0.0
-            return phi(t)
+    def counting_wolfe(f0, d0, line, **kwargs):
+        def counted_line(t):
+            counts["trials"] += 1
+            trial = line(t)
+            slope = trial.slope
 
-        def dphi_c(t):
-            counts["dphi"] += t != 0.0
-            return dphi(t)
+            def counted_slope():
+                counts["slopes"] += 1
+                return slope()
 
-        return real_wolfe(phi_c, dphi_c, **kwargs)
+            trial.slope = counted_slope
+            return trial
+
+        return real_wolfe(f0, d0, counted_line, **kwargs)
 
     monkeypatch.setattr(expen.solvers, "strong_wolfe", counting_wolfe)
     model = _penalized_nleig(12, 3, beta=25.0)
     cfg = ep.SolverConfig(grad_tol=1e-6, max_iters=60, trace_enabled=trace_enabled)
     report = solve(model, stiefel(12, 3, seed=15), cfg)
     assert report.iterations > 10
-    assert counts["phi"] > report.iterations
-    assert counts["value"] == 1 + counts["phi"]
-    assert counts["grad"] == 1 + counts["dphi"]
+    assert counts["trials"] > report.iterations
+    assert counts["value"] == 1 + counts["trials"]
+    assert counts["grad"] == 1 + counts["slopes"]
     assert (report.value_calls, report.grad_calls) == (counts["value"], counts["grad"])
 
 
@@ -243,19 +284,19 @@ def test_rank_deficient_last_iterate_still_reports(solve, X0, sigma_max):
 def test_non_finite_start_reports_without_a_projected_point(solve, entry):
     # h is not finite at such a start, so the loop stops NonFinite at once,
     # and the final projection must not make up a point for it
-    model = ep.ExPenModel(ep.brockett_make(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0])), beta=1.0)
     X0 = np.eye(4, 2)
     X0[1, 0] = entry
-    report = solve(model, X0, ep.SolverConfig())
-    assert report.termination is ep.Termination.NON_FINITE
-    assert report.termination_detail == (
-        "NonFinite, then NumericalError: cannot project a 4x2 matrix with non-finite entries"
-    )
-    assert report.final_point is None
-    assert np.isnan([report.fval, report.stationarity, report.feasibility]).all()
-    assert not report.certified
-    assert report.iterations == 0
-    assert np.array_equal(report.raw_point, X0, equal_nan=True)
+    for obj in (ep.brockett_make(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0])), ep.nleig_make(4, 2, 1.0)):
+        report = solve(ep.ExPenModel(obj, beta=1.0), X0, ep.SolverConfig())
+        assert report.termination is ep.Termination.NON_FINITE
+        assert report.termination_detail == (
+            "NonFinite, then NumericalError: cannot project a 4x2 matrix with non-finite entries"
+        )
+        assert report.final_point is None
+        assert np.isnan([report.fval, report.stationarity, report.feasibility]).all()
+        assert not report.certified
+        assert report.iterations == 0
+        assert np.array_equal(report.raw_point, X0, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -310,7 +351,7 @@ class TestFrcgSolve:
         assert trace[0].h_val == model.value(X0)
         final = trace[-1]
         assert final.grad_h_norm == report.raw_grad_h_norm
-        assert final.feas == report.raw_feasibility
+        assert final.feas == report.raw_feasibility == ep.feasibility(report.raw_point)
         obj = model.objective
         assert final.f_val == obj.value(report.raw_point)
 
@@ -359,14 +400,14 @@ class TestFrcgSolve:
             else:
                 trial = min(max(eta_prev * gD_prev / gD, 1e-12), 1e6)
 
-            def phi(t, X=X, D=D, h=h):
-                return h if t == 0.0 else model.value(X + t * D)
+            class Trial:
+                def __init__(self, t):
+                    self.t, self.h = t, model.value(X + t * D)
 
-            def dphi(t, X=X, D=D, g=g):
-                base = g if t == 0.0 else model.grad(X + t * D)
-                return ep.inner(base, D)
+                def slope(self):
+                    return ep.inner(model.grad(X + self.t * D), D)
 
-            eta = ep.strong_wolfe(phi, dphi, initial_step=trial)
+            eta = ep.strong_wolfe(h, ep.inner(g, D), Trial, initial_step=trial).t
             X = X + eta * D
             h = model.value(X)
             g_next = model.grad(X)

@@ -288,6 +288,34 @@ class TestSpectrumCorrespondence:
         assert rep.max_rel_error == expected
         assert rep.samples == 5
 
+    @pytest.mark.parametrize("margin", [-0.5, 0.5])
+    def test_unmatched_eigenvalues_are_the_normal_spectrum_at_a_brockett_saddle(self, margin):
+        # At a stationary X the penalty Hessian maps X S (S symmetric) to
+        # X (2 beta S - (3/2)(Sg S + S Sg)), so its eigenvalues left over by
+        # the tangent ones are 2 beta - (3/2)(mu_i + mu_j), i <= j, for the
+        # eigenvalues mu of Sg; the floor test passes iff 2 beta - 3 max(mu)
+        # exceeds the top tangent eigenvalue. beta sits margin above that bound.
+        B = ep.random_symmetric(8, [78, 0, 1])
+        C = ep.random_symmetric(3, [78, 0, 2])
+        X = np.linalg.eigh(B)[1][:, [7, 0, 4]] @ np.linalg.eigh(C)[1].T
+        obj = ep.brockett_make(B, C)
+        n, p = X.shape
+        mu = np.linalg.eigvalsh(ep.sym(X.T @ obj.gradient(X)))
+        basis = ep.tangent_basis(X)
+        D = basis.T.reshape(-1, n, p)
+        images = obj.hess_vec(X, D) - D @ ep.sym(X.T @ obj.gradient(X))
+        lam_tangent = np.linalg.eigvalsh(ep.sym(basis.T @ images.reshape(len(D), n * p).T))
+        assert lam_tangent[0] < 0.0  # a saddle
+        beta = 0.5 * (3.0 * mu[-1] + lam_tangent[-1]) + margin
+        model = ep.ExPenModel(obj, beta)
+
+        leftover = np.linalg.eigvalsh(ep.assemble_hessian(model, X)).tolist()
+        for lam in lam_tangent:
+            leftover.remove(min(leftover, key=lambda x: abs(x - lam)))
+        i, j = np.triu_indices(p)
+        assert_allclose(sorted(leftover), np.sort(2.0 * beta - 1.5 * (mu[i] + mu[j])), rtol=0, atol=1e-12 * (1.0 + beta))
+        assert ep.spectrum_correspondence(model, obj, X).passed is (margin > 0.0)
+
     def test_not_stationary_raises(self):
         obj = ep.nleig_make(6, 2, alpha=1.0)
         model = ep.ExPenModel(objective=obj, beta=10.0)
