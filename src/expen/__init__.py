@@ -23,6 +23,7 @@ from .model import Evaluation, ExPenModel, SmoothObjective, apen_map, default_be
 from .geometry import (
     StationarityReport,
     feasibility,
+    in_certificate_region,
     postprocess,
     project_stiefel,
     riemannian_grad,

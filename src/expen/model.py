@@ -79,20 +79,12 @@ def _check_tall(X, name):
     return X
 
 
-def _amat(S):
-    """A = (3/2) I - (1/2) S, given S = X^T X."""
-    A = -0.5 * S
-    A.reshape(-1)[:: A.shape[0] + 1] += 1.5  # the diagonal, as a strided view
-    return A
-
-
 def apen_map(X):
-    """The smoothing map X -> X A(X) with A(X) = (3/2) I - (1/2) X^T X.
+    """The smoothing map X -> X A(X) with A(X) = (3/2) I - (1/2) X^T X, a read-only array.
 
     Fixes every column-orthonormal X.
     """
-    X = _check_tall(X, "apen_map")
-    return X @ _amat(X.T @ X)
+    return Evaluation(None, 0.0, _check_tall(X, "apen_map")).Y
 
 
 def jx_apply(X, D):
@@ -101,8 +93,7 @@ def jx_apply(X, D):
     Linear and self-adjoint in D.
     """
     X = _check_tall(X, "jx_apply")
-    D = _check_point(D, *X.shape, "D")
-    return D @ _amat(X.T @ X) - X @ sym(D.T @ X)
+    return Evaluation(None, 0.0, X).jac(_check_point(D, *X.shape, "D"))[1]
 
 
 def smoothed_grad(obj, X):
@@ -165,14 +156,15 @@ class ExPenModel:
 
 class Evaluation:
     """The penalty oracles at a point X that must not change, from ExPenModel.at
-    (or at beta = 0 from smoothed_grad).
+    (or at beta = 0 from smoothed_grad, apen_map and jx_apply, the last two with no objective).
 
     A(X), R = X^T X - I, Y = X A and, when first needed, G = grad f(Y) are formed once.
     """
 
     def __init__(self, objective, beta, X):
         S = X.T @ X
-        A = _amat(S)
+        A = -0.5 * S
+        A.reshape(-1)[:: A.shape[0] + 1] += 1.5  # A = (3/2) I - (1/2) S, the diagonal as a strided view
         S.reshape(-1)[:: S.shape[0] + 1] -= 1.0  # S is spent on A, so R = S - I is formed in place
         self.objective, self.beta, self.X, self.A, self.R, self.Y = objective, beta, X, A, S, X @ A
         for M in (self.A, self.R, self.Y):
@@ -183,6 +175,12 @@ class Evaluation:
         if self._G is None:
             self._G = np.asarray(self.objective.gradient(self.Y), dtype=float)
         return self._G
+
+    def jac(self, D):
+        """S_D = sym(D^T X) and J(D) = D A - X S_D, the smoothing map's Jacobian
+        applied to a direction D (n, p) or a stack (k, n, p)."""
+        S_D = sym(D.swapaxes(-1, -2) @ self.X)
+        return S_D, D @ self.A - self.X @ S_D
 
     def value(self):
         """h(X) = f(X A(X)) + (beta/4) ||X^T X - I||_F^2."""
@@ -203,9 +201,8 @@ class Evaluation:
     def hess_vec(self, D):
         """Closed-form Hessian of h applied to a direction D (n, p) or a stack (k, n, p).
 
-        Requires the objective to provide hess_vec. With S_D = sym(D^T X) and
-        HJD = hess f(X A)[D A - X S_D], the objective Hessian at the mapped
-        point applied to the Jacobian image of D, it is grouped as grad is:
+        Requires the objective to provide hess_vec. With S_D and J(D) from jac
+        and HJD = hess f(X A)[J(D)], it is grouped as grad is:
             HJD A - G S_D + D (beta R - sym(X^T G))
                 + X (2 beta S_D - sym(D^T G) - sym(HJD^T X)),
         ten matrix products besides the objective's hess_vec. Each slice of a
@@ -214,13 +211,13 @@ class Evaluation:
         if self.objective.hess_vec is None:
             raise CapabilityError("objective provides no hess_vec oracle")
         D = _check_point(D, *self.X.shape, "D", stack=True)
-        X, A, G = self.X, self.A, self._grad_f()
-        Dt = D.swapaxes(-1, -2)
-        S_D = sym(Dt @ X)
-        HJD = np.asarray(self.objective.hess_vec(self.Y, D @ A - X @ S_D), dtype=float)
+        X, G = self.X, self._grad_f()
+        S_D, JD = self.jac(D)
+        HJD = np.asarray(self.objective.hess_vec(self.Y, JD), dtype=float)
+        del JD  # freed before the products below, so that they can reuse its memory
         return (
-            HJD @ A
+            HJD @ self.A
             - G @ S_D
             + D @ (self.beta * self.R - sym(X.T @ G))
-            + X @ (2.0 * self.beta * S_D - sym(Dt @ G) - sym(HJD.swapaxes(-1, -2) @ X))
+            + X @ (2.0 * self.beta * S_D - sym(D.swapaxes(-1, -2) @ G) - sym(HJD.swapaxes(-1, -2) @ X))
         )

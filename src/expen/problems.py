@@ -45,8 +45,8 @@ def nleig_make(n, p, alpha=1.0):
     at one point costs one solve and one three-pass application of H. A hit
     returns the same bits as a miss, and gradient returns a fresh copy. Each
     entry is published as one immutable tuple in a single assignment, so the
-    objective can be shared between threads. At a point whose rho is not
-    finite, value and gradient are NaN.
+    objective can be shared between threads. Where a solve's right-hand side
+    is not finite, value, gradient and hess_vec are NaN.
 
     Parameters
     ----------
@@ -60,6 +60,15 @@ def nleig_make(n, p, alpha=1.0):
         raise DimensionError(f"alpha must be nonnegative and finite, got {alpha}")
     L = laplacian_1d(n)
     memo = None  # (key, rho, L^{-1} rho, H X) of the last point
+
+    def solve(b):
+        # L^{-1} b; NaN for a non-finite b, which tridiag_solve rejects with ValueError
+        try:
+            return tridiag_solve(L, b)
+        except DimensionError:
+            raise
+        except ValueError:
+            return np.full(b.shape, np.nan)
 
     def hamiltonian(z, M):
         # (L + alpha Diag(z)) M for M (n, p) or (k, n, p), from the (2, -1)
@@ -76,10 +85,7 @@ def nleig_make(n, p, alpha=1.0):
         entry = memo
         if entry is None or entry[0] != key:
             rho = np.einsum("ij,ij->i", X, X)
-            try:
-                z = tridiag_solve(L, rho)
-            except ValueError:  # rho is not finite; value and gradient are then NaN
-                z = np.full(n, np.nan)
+            z = solve(rho)
             HX = hamiltonian(z, X)
             HX.setflags(write=False)
             entry = memo = (key, rho, z, HX)
@@ -98,7 +104,7 @@ def nleig_make(n, p, alpha=1.0):
         D = np.asarray(D, dtype=float)
         # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
         v = 2.0 * np.einsum("ij,...ij->...i", X, D)
-        w = np.moveaxis(tridiag_solve(L, np.moveaxis(v, -1, 0)), 0, -1)
+        w = np.moveaxis(solve(np.moveaxis(v, -1, 0)), 0, -1)
         return hamiltonian(z, D) + alpha * (w[..., None] * X)
 
     return SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)

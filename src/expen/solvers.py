@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateProjectionError, DimensionError, LineSearchError, NonDescentError, NumericalError
-from .geometry import feasibility, project_stiefel, riemannian_grad
+from .geometry import feasibility, in_certificate_region, project_stiefel, riemannian_grad
 from .linalg import fnorm, inner
 
 __all__ = [
@@ -109,8 +109,8 @@ class SolverReport:
     error. termination_detail is "" after every other stop.
 
     certified is True only for a GradTol stop at a raw iterate inside the
-    region where the stationarity certificate holds: raw_feasibility at most
-    1/6 and at most (4/beta) raw_grad_h_norm. Outside it a small grad h says
+    certificate region (in_certificate_region): raw_feasibility at most 1/6
+    and at most (4/beta) raw_grad_h_norm. Outside it a small grad h says
     nothing about the projected point. value_calls and grad_calls count the
     points at which the loop asked for h and for grad h, the start included.
     """
@@ -302,10 +302,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
     else:
         fval, stationarity, feas = float(obj.value(P)), fnorm(riemannian_grad(obj, P)), feasibility(P)
     raw_feas = fnorm(ev.R)
-    # the region of the stationarity certificate, tested as perfbench/checks.py tests it
-    certified = (
-        termination is Termination.GRAD_TOL and raw_feas <= 1.0 / 6.0 and raw_feas <= 4.0 / model.beta * gnorm + 1e-12
-    )
+    certified = termination is Termination.GRAD_TOL and in_certificate_region(raw_feas, gnorm, model.beta)
     return SolverReport(
         final_point=P,
         fval=fval,

@@ -191,21 +191,26 @@ class TestStationarityReport:
         assert report.grad_h_norm <= 1e-12
         assert report.feasibility <= 1e-12
         assert report.projected_riem_grad_norm <= 1e-12
-        assert report.near_manifold
+        assert report.certified
 
-    def test_certified_bound_is_twice_grad_norm(self):
-        obj = ep.nleig_make(7, 2, alpha=1.0)
-        model = ep.ExPenModel(objective=obj, beta=12.0)
-        X = near_stiefel(7, 2, seed=21)
-        report = ep.stationarity_report(model, X)
-        assert report.certified_bound == 2.0 * report.grad_h_norm
-
-    def test_near_manifold_flag(self):
+    def test_certified_only_inside_the_region(self):
         obj = ep.constant_make(6, 2)
         model = ep.ExPenModel(objective=obj, beta=4.0)
         far = 2.0 * stiefel(6, 2, seed=22)  # feasibility 3*sqrt(2) > 1/6
-        assert not ep.stationarity_report(model, far).near_manifold
-        assert ep.stationarity_report(model, near_stiefel(6, 2, seed=23)).near_manifold
+        assert not ep.stationarity_report(model, far).certified
+        assert ep.stationarity_report(model, near_stiefel(6, 2, seed=23)).certified
+
+    def test_region_has_two_halves_and_rejects_nan(self):
+        beta = 8.0
+        assert ep.in_certificate_region(1.0 / 6.0, 1.0, beta)
+        assert not ep.in_certificate_region(np.nextafter(1.0 / 6.0, 1.0), 1.0, beta)
+        # feasibility 0.1 needs ||grad h|| >= 0.2 at beta = 8, up to 1e-12
+        assert ep.in_certificate_region(0.1, 0.2, beta)
+        assert ep.in_certificate_region(0.1 + 5e-13, 0.2, beta)
+        assert not ep.in_certificate_region(0.1 + 2e-12, 0.2, beta)
+        assert not ep.in_certificate_region(0.1, 0.19, beta)
+        assert not ep.in_certificate_region(np.nan, 1.0, beta)
+        assert not ep.in_certificate_region(0.1, np.nan, beta)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_feasibility_bounded_by_grad_norm_at_large_beta(self, seed):

@@ -282,9 +282,8 @@ class TestGradientLowerBound:
         beta = 100.0 * max(1.0, ep.fnorm(obj.gradient(X)))
         model = ep.ExPenModel(objective=obj, beta=beta)
         report = ep.stationarity_report(model, X)
-        assert report.near_manifold
-        assert report.projected_riem_grad_norm <= report.certified_bound + 1e-12
-        assert report.feasibility <= (4.0 / beta) * report.grad_h_norm + 1e-12
+        assert report.certified  # feasibility <= 1/6 and <= (4/beta) ||grad h|| + 1e-12
+        assert report.projected_riem_grad_norm <= 2.0 * report.grad_h_norm + 1e-12
 
 
 class TestModelMetadata:
@@ -461,8 +460,10 @@ def test_evaluation_matches_wrappers_in_every_call_order(case):
 
 
 class TestMemoBitIdentity:
-    """The oracles return the bits of the straight-through reference in any call
-    order, at alternating points and at points changed in place."""
+    """The model's oracles return the bits of the straight-through _ref_*
+    reference in any call order, at alternating points, at points changed in
+    place and from threads sharing one model. The model keeps no memo; on nleig
+    these cases exercise the objective's own memo."""
 
     n, p, beta = 7, 3, 3.0
 
@@ -534,7 +535,7 @@ class TestMemoBitIdentity:
         self._check_value(model, ref, X)
         self._check_grad(model, ref, X)
 
-    def test_returned_gradient_is_not_the_memo(self):
+    def test_mutating_a_returned_gradient_changes_no_later_result(self):
         # a caller mutating a returned gradient must not change what an
         # evaluation, or the objective's own memo, gives next
         model, ref, X = self._setup("nleig-alpha0")

@@ -64,6 +64,19 @@ class TestNleig:
                 ep.nleig_make(4, 2, alpha=alpha)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("shape", [(4, 2), (3, 4, 2)])
+def test_nleig_hess_vec_is_nan_at_a_non_finite_point(shape):
+    # the solve of diag(X D^T + D X^T) is NaN there, as value and gradient are
+    obj = ep.nleig_make(4, 2, alpha=1.0)
+    X = np.eye(4, 2)
+    X[1, 0] = np.nan
+    D = np.ones(shape)
+    for H in (obj.hess_vec(X, D), ep.ExPenModel(obj, 1.0).hess_vec(X, D)):
+        assert H.shape == shape
+        assert np.isnan(H).all()
+
+
 class TestNleigMemo:
     """The memo shared by value, gradient and hess_vec returns the bits of
     the straight-through formulas in every call order."""

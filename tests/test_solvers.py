@@ -319,6 +319,7 @@ def test_certified_only_inside_the_certificate_region(solve, n, p, seeds, certif
         assert report.termination is ep.Termination.GRAD_TOL
         assert report.certified is certified
         assert (report.raw_feasibility <= 1.0 / 6.0) == certified
+        assert ep.stationarity_report(model, report.raw_point).certified is certified
 
 
 class TestFrcgSolve:
