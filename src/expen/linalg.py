@@ -70,14 +70,6 @@ class TridiagMatrix:
         self.sub = sub
         self._factor = None  # LAPACK ?pttrf output (d, e), set by the first solve
 
-    def dense(self):
-        """Materialize as a dense n x n array (test and desk-scale use only)."""
-        T = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        T[idx, idx + 1] = self.sub
-        T[idx + 1, idx] = self.sub
-        return T
-
     def matvec(self, v):
         """Apply the matrix to a vector (n,), or along axis -2 of a block (..., n, k).
 

@@ -10,12 +10,13 @@ which agrees with f on the manifold. The gradient and Hessian-vector oracles
 below are closed-form: one objective gradient (or Hessian-vector) call plus a
 fixed number of n x p by p x p products per evaluation. ExPenModel.at(X)
 returns an Evaluation, which computes A(X), the mapped point X A(X) and the
-mapped gradient once and shares them between the oracles asked at X.
+mapped value and gradient once and shares them between the oracles asked at X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +52,9 @@ class SmoothObjective:
         direction (n, p) or a stack (k, n, p); the result has D's shape.
         Absent for first-order-only objectives; second-order operations then
         raise CapabilityError instead of silently finite-differencing.
+    value_and_grad : callable, optional
+        X -> (value(X), gradient(X)) with their bits, from one pass over the
+        work they share; the penalty oracles then make one call for both.
     """
 
     n: int
@@ -58,6 +62,7 @@ class SmoothObjective:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_vec: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    value_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if not (self.n >= self.p >= 1):
@@ -120,11 +125,15 @@ def default_beta(obj, X0):
 class ExPenModel:
     """The penalty oracle h, grad h, and hess h [D] for a SmoothObjective.
 
-    Immutable and stateless: value, grad and hess_vec each wrap a fresh at(X).
+    value, grad and hess_vec share the Evaluation of the last point asked,
+    keyed on the bytes of X, built on a read-only copy of them and published
+    as one tuple, so X may change in place and threads may share the model.
+    at(X), and a point that is not C-contiguous, get a fresh one on X itself.
     """
 
     objective: SmoothObjective
     beta: float
+    _last = None  # (bytes of X, its Evaluation), set by _shared; not a field
 
     def __post_init__(self):
         if not isinstance(self.objective, SmoothObjective):
@@ -144,21 +153,33 @@ class ExPenModel:
         """The Evaluation of the penalty oracles at X."""
         return Evaluation(self.objective, self.beta, _check_point(X, self.n, self.p))
 
+    def _shared(self, X):
+        X = _check_point(X, self.n, self.p)
+        if not X.flags.c_contiguous:  # a C-ordered copy could move the last bits
+            return Evaluation(self.objective, self.beta, X)
+        key = X.tobytes()
+        last = self._last
+        if last is None or last[0] != key:
+            last = (key, Evaluation(self.objective, self.beta, np.frombuffer(key).reshape(X.shape)))
+            object.__setattr__(self, "_last", last)
+        return last[1]
+
     def value(self, X):
-        return self.at(X).value()
+        return self._shared(X).value()
 
     def grad(self, X):
-        return self.at(X).grad()
+        return self._shared(X).grad()
 
     def hess_vec(self, X, D):
-        return self.at(X).hess_vec(D)
+        return self._shared(X).hess_vec(D)
 
 
 class Evaluation:
     """The penalty oracles at a point X that must not change, from ExPenModel.at
     (or at beta = 0 from smoothed_grad, apen_map and jx_apply, the last two with no objective).
 
-    A(X), R = X^T X - I, Y = X A and, when first needed, G = grad f(Y) are formed once.
+    A(X), R = X^T X - I and Y = X A are formed once, and G = grad f(Y) when first
+    needed, together with f(Y) from one value_and_grad call if the objective has one.
     """
 
     def __init__(self, objective, beta, X):
@@ -169,12 +190,12 @@ class Evaluation:
         self.objective, self.beta, self.X, self.A, self.R, self.Y = objective, beta, X, A, S, X @ A
         for M in (self.A, self.R, self.Y):
             M.setflags(write=False)
-        self._G = None
 
-    def _grad_f(self):
-        if self._G is None:
-            self._G = np.asarray(self.objective.gradient(self.Y), dtype=float)
-        return self._G
+    @cached_property
+    def _fG(self):
+        fused = self.objective.value_and_grad
+        f, G = (None, self.objective.gradient(self.Y)) if fused is None else fused(self.Y)
+        return f, np.asarray(G, dtype=float)
 
     def jac(self, D):
         """S_D = sym(D^T X) and J(D) = D A - X S_D, the smoothing map's Jacobian
@@ -184,7 +205,8 @@ class Evaluation:
 
     def value(self):
         """h(X) = f(X A(X)) + (beta/4) ||X^T X - I||_F^2."""
-        return float(self.objective.value(self.Y)) + 0.25 * self.beta * float(np.vdot(self.R, self.R))
+        f = self.objective.value(self.Y) if self.objective.value_and_grad is None else self._fG[0]
+        return float(f) + 0.25 * self.beta * float(np.vdot(self.R, self.R))
 
     def grad(self):
         """Closed-form gradient of h, a new array on every call.
@@ -193,7 +215,7 @@ class Evaluation:
         objective gradient at the mapped point X A(X). Equals the Riemannian
         gradient of f whenever X is column-orthonormal.
         """
-        G = self._grad_f()
+        G = self._fG[1]
         g = G @ self.A
         g -= self.X @ (sym(self.X.T @ G) - self.beta * self.R)
         return g
@@ -211,7 +233,7 @@ class Evaluation:
         if self.objective.hess_vec is None:
             raise CapabilityError("objective provides no hess_vec oracle")
         D = _check_point(D, *self.X.shape, "D", stack=True)
-        X, G = self.X, self._grad_f()
+        X, G = self.X, self._fG[1]
         S_D, JD = self.jac(D)
         HJD = np.asarray(self.objective.hess_vec(self.Y, JD), dtype=float)
         del JD  # freed before the products below, so that they can reuse its memory

@@ -37,16 +37,12 @@ def nleig_make(n, p, alpha=1.0):
 
     The gradient is the Hamiltonian H = L + alpha Diag(z), z = L^{-1} rho,
     applied to X, and the value follows from it:
-    f(X) = (1/2) <X, H X> - (alpha/4) rho^T z. hess_vec applies the same H
-    to D and adds alpha (w o X), w = L^{-1} diag(X D^T + D X^T), with one
-    solve for a whole stack of directions. value, gradient and hess_vec
-    share a one-entry memo of rho, z and H X, keyed on the shape, dtype and
-    exact bits of the last point X, so asking for the value and the gradient
-    at one point costs one solve and one three-pass application of H. A hit
-    returns the same bits as a miss, and gradient returns a fresh copy. Each
-    entry is published as one immutable tuple in a single assignment, so the
-    objective can be shared between threads. Where a solve's right-hand side
-    is not finite, value, gradient and hess_vec are NaN.
+    f(X) = (1/2) <X, H X> - (alpha/4) rho^T z. value_and_grad forms rho, z
+    and H X once, with one solve and three passes over X, and value and
+    gradient each make that one call. hess_vec forms its own z, applies H to
+    D and adds alpha (w o X), w = L^{-1} diag(X D^T + D X^T), with one solve
+    for a whole stack of directions. Where a solve's right-hand side is not
+    finite, every oracle is NaN.
 
     Parameters
     ----------
@@ -59,7 +55,6 @@ def nleig_make(n, p, alpha=1.0):
     if not (alpha >= 0.0 and np.isfinite(alpha)):
         raise DimensionError(f"alpha must be nonnegative and finite, got {alpha}")
     L = laplacian_1d(n)
-    memo = None  # (key, rho, L^{-1} rho, H X) of the last point
 
     def solve(b):
         # L^{-1} b; NaN for a non-finite b, which tridiag_solve rejects with ValueError
@@ -78,36 +73,24 @@ def nleig_make(n, p, alpha=1.0):
         HM[..., 1:, :] -= M[..., :-1, :]
         return HM
 
-    def at(X):
-        nonlocal memo
+    def value_and_grad(X):
         X = np.asarray(X)
-        key = (X.shape, X.dtype.str, X.tobytes())
-        entry = memo
-        if entry is None or entry[0] != key:
-            rho = np.einsum("ij,ij->i", X, X)
-            z = solve(rho)
-            HX = hamiltonian(z, X)
-            HX.setflags(write=False)
-            entry = memo = (key, rho, z, HX)
-        return X, entry
-
-    def value(X):
-        X, (_, rho, z, HX) = at(X)
-        return 0.5 * inner(X, HX) - 0.25 * alpha * float(rho @ z)
-
-    def gradient(X):
-        _, (_, _, _, HX) = at(X)
-        return HX.copy()
+        rho = np.einsum("ij,ij->i", X, X)
+        z = solve(rho)
+        HX = hamiltonian(z, X)
+        return 0.5 * inner(X, HX) - 0.25 * alpha * float(rho @ z), HX
 
     def hess_vec(X, D):
-        X, (_, _, z, _) = at(X)
         D = np.asarray(D, dtype=float)
+        z = solve(np.einsum("ij,ij->i", X, X))
         # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
         v = 2.0 * np.einsum("ij,...ij->...i", X, D)
         w = np.moveaxis(solve(np.moveaxis(v, -1, 0)), 0, -1)
         return hamiltonian(z, D) + alpha * (w[..., None] * X)
 
-    return SmoothObjective(n=n, p=p, value=value, gradient=gradient, hess_vec=hess_vec)
+    value = lambda X: value_and_grad(X)[0]
+    gradient = lambda X: value_and_grad(X)[1]
+    return SmoothObjective(n, p, value, gradient, hess_vec, value_and_grad)
 
 
 def brockett_make(B, C):
@@ -123,16 +106,14 @@ def brockett_make(B, C):
     if np.linalg.norm(C - C.T) > 1e-12 * (1.0 + np.linalg.norm(C)):
         raise DimensionError("C must be symmetric")
 
-    def value(X):
-        return 0.5 * inner(X, B @ X @ C)
+    def value_and_grad(X):
+        G = B @ X @ C
+        return 0.5 * inner(X, G), G
 
-    def gradient(X):
-        return B @ X @ C
-
-    def hess_vec(X, D):
-        return B @ D @ C
-
-    return SmoothObjective(n=B.shape[0], p=C.shape[0], value=value, gradient=gradient, hess_vec=hess_vec)
+    value = lambda X: value_and_grad(X)[0]
+    gradient = lambda X: B @ X @ C
+    hess_vec = lambda X, D: B @ D @ C
+    return SmoothObjective(B.shape[0], C.shape[0], value, gradient, hess_vec, value_and_grad)
 
 
 def constant_make(n, p, level=0.0):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateProjectionError, DimensionError, LineSearchError, NonDescentError, NumericalError
-from .geometry import feasibility, in_certificate_region, project_stiefel, riemannian_grad
+from .geometry import feasibility, in_certificate_region, project_stiefel, tangent_project
 from .linalg import fnorm, inner
 
 __all__ = [
@@ -267,6 +267,9 @@ def _descent_loop(model, X0, config, use_cg, clock):
         try:
             accepted = strong_wolfe(h, d0, partial(_Trial, calls, model, ev.X, D), initial_step=initial)
         except LineSearchError as exc:
+            if not np.array_equal(D, -g):  # a conjugate direction: retry once along -grad h
+                D = -g
+                continue
             termination = Termination.LINE_SEARCH_FAILURE
             detail = f"{type(exc).__name__}: {exc}"
             break
@@ -300,7 +303,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
             termination = Termination.RANK_DEFICIENT
         P, fval, stationarity, feas = None, math.nan, math.nan, math.nan
     else:
-        fval, stationarity, feas = float(obj.value(P)), fnorm(riemannian_grad(obj, P)), feasibility(P)
+        fG = (obj.value(P), obj.gradient(P)) if obj.value_and_grad is None else obj.value_and_grad(P)
+        fval, stationarity, feas = float(fG[0]), fnorm(tangent_project(P, fG[1])), feasibility(P)
     raw_feas = fnorm(ev.R)
     certified = termination is Termination.GRAD_TOL and in_certificate_region(raw_feas, gnorm, model.beta)
     return SolverReport(
@@ -328,8 +332,9 @@ def frcg_solve(model, X0, config, *, clock=time.perf_counter):
     Directions follow D_{k+1} = -grad h(X_{k+1}) + tau_k D_k with the
     Fletcher-Reeves ratio tau_k = ||grad h(X_{k+1})||^2 / ||grad h(X_k)||^2,
     restarted to steepest descent whenever descent degrades. Steps satisfy
-    the strong Wolfe conditions. Line-search failure is a terminal status
-    carrying the last iterate, not an exception.
+    the strong Wolfe conditions. A search that fails along a conjugate
+    direction is retried once along -grad h; a failure there is a terminal
+    status carrying the last iterate, not an exception.
 
     The clock parameter exists so callers can inject a deterministic timer;
     wall_seconds covers the iteration loop only.

@@ -75,6 +75,15 @@ class CountingClock:
         return value
 
 
+def dense(T):
+    """A TridiagMatrix as a dense n x n array."""
+    M = np.diag(T.diag)
+    idx = np.arange(T.n - 1)
+    M[idx, idx + 1] = T.sub
+    M[idx + 1, idx] = T.sub
+    return M
+
+
 def same_bits(a, b):
     """True when a and b have the same shape, dtype and bit pattern."""
     a = np.asarray(a)
@@ -113,7 +122,7 @@ def reference_nleig(n, p, alpha):
     H = L + alpha Diag(L^{-1} rho), applied to M = X or M = D with the
     neighbour rows of the stencil taken from zero-padded shifted copies of M.
     The value is (1/2) <X, H X> - (alpha/4) rho^T L^{-1} rho and hess_vec is
-    H D + alpha (w o X). The memoised objective must reproduce these bits.
+    H D + alpha (w o X). nleig_make's oracles must reproduce these bits.
     """
     _, rho_z, w_of = _nleig_parts(n, alpha)
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 from expen.exceptions import DimensionError, NotPositiveDefiniteError, NumericalError
 
-from helpers import same_bits
+from helpers import dense, same_bits
 
 
 class TestSym:
@@ -90,15 +90,15 @@ class TestTridiag:
                 [0.0, 0.0, -1.0, 2.0],
             ]
         )
-        assert_allclose(T.dense(), expected, rtol=0, atol=0)
+        assert_allclose(dense(T), expected, rtol=0, atol=0)
 
     def test_matvec_matches_dense(self):
         T = ep.laplacian_1d(12)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(12)
         M = rng.standard_normal((12, 3))
-        assert_allclose(T.matvec(v), T.dense() @ v, rtol=1e-13, atol=1e-13)
-        assert_allclose(T.matvec(M), T.dense() @ M, rtol=1e-13, atol=1e-13)
+        assert_allclose(T.matvec(v), dense(T) @ v, rtol=1e-13, atol=1e-13)
+        assert_allclose(T.matvec(M), dense(T) @ M, rtol=1e-13, atol=1e-13)
 
     def test_matvec_acts_along_axis_minus_two(self):
         T = ep.TridiagMatrix(diag=np.linspace(1.0, 3.0, 9), sub=np.linspace(-1.0, 0.5, 8))
@@ -157,7 +157,7 @@ class TestTridiag:
         T = ep.TridiagMatrix(diag=diag, sub=sub)
         rhs = rng.standard_normal((n, 4))
         x = ep.tridiag_solve(T, rhs)
-        oracle = np.linalg.solve(T.dense(), rhs)
+        oracle = np.linalg.solve(dense(T), rhs)
         assert_allclose(x, oracle, rtol=1e-10, atol=1e-12)
 
     def test_solve_residual_is_small(self):

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import expen as ep
+import expen.model
+import expen.problems
 from expen.exceptions import CapabilityError, DimensionError
 
 from helpers import near_stiefel, reference_nleig, same_bits, stiefel
@@ -462,8 +464,8 @@ def test_evaluation_matches_wrappers_in_every_call_order(case):
 class TestMemoBitIdentity:
     """The model's oracles return the bits of the straight-through _ref_*
     reference in any call order, at alternating points, at points changed in
-    place and from threads sharing one model. The model keeps no memo; on nleig
-    these cases exercise the objective's own memo."""
+    place and from threads sharing one model. These cases exercise the
+    evaluation the model shares between value, grad and hess_vec."""
 
     n, p, beta = 7, 3, 3.0
 
@@ -594,3 +596,137 @@ class TestMemoBitIdentity:
         finally:
             sys.setswitchinterval(old)
         assert errors == []
+
+
+class TestSharedEvaluation:
+    """value, grad and hess_vec share the Evaluation of the last point asked:
+    what a point costs, counted in evaluations built, tridiagonal solves and
+    stencil matvecs (nleig applies its stencil in place, never by matvec)."""
+
+    n, p = 9, 3
+
+    def _setup(self, seed=0):
+        model = ep.ExPenModel(ep.nleig_make(self.n, self.p, alpha=1.0), beta=2.0)
+        return model, 1.1 * stiefel(self.n, self.p, seed)
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {"evaluations": 0, "solves": 0, "matvecs": 0}
+        evaluation, solve, matvec = expen.model.Evaluation, expen.problems.tridiag_solve, ep.TridiagMatrix.matvec
+
+        class CountedEvaluation(evaluation):
+            def __init__(self, *args):
+                counts["evaluations"] += 1
+                super().__init__(*args)
+
+        def counted_solve(T, rhs):
+            counts["solves"] += 1
+            return solve(T, rhs)
+
+        def counted_matvec(T, v):
+            counts["matvecs"] += 1
+            return matvec(T, v)
+
+        monkeypatch.setattr(expen.model, "Evaluation", CountedEvaluation)
+        monkeypatch.setattr(expen.problems, "tridiag_solve", counted_solve)
+        monkeypatch.setattr(ep.TridiagMatrix, "matvec", counted_matvec)
+        return counts
+
+    def test_grad_then_value_costs_one_evaluation_and_one_solve(self, monkeypatch):
+        model, X = self._setup()
+        counts = self._count(monkeypatch)
+        g, v = model.grad(X), model.value(X)
+        assert counts == {"evaluations": 1, "solves": 1, "matvecs": 0}
+        fresh = model.at(X)
+        assert same_bits(g, fresh.grad()) and same_bits(v, fresh.value())
+
+    def test_point_changed_in_place_misses(self, monkeypatch):
+        model, X = self._setup(seed=1)
+        counts = self._count(monkeypatch)
+        model.grad(X)
+        X[4, 2] = np.nextafter(X[4, 2], np.inf)  # one last-bit change
+        v = model.value(X)
+        assert counts == {"evaluations": 2, "solves": 2, "matvecs": 0}
+        assert same_bits(v, model.at(X).value())
+
+    @pytest.mark.parametrize("k", [None, 5], ids=["one", "stack"])
+    def test_hess_vec_costs_two_solves(self, monkeypatch, k):
+        # at the last point asked: nleig's own z = L^{-1} rho and one w solve
+        model, X = self._setup(seed=2)
+        shape = (self.n, self.p) if k is None else (k, self.n, self.p)
+        D = np.random.default_rng(2).standard_normal(shape)
+        model.value(X)
+        counts = self._count(monkeypatch)
+        H = model.hess_vec(X, D)
+        assert counts == {"evaluations": 0, "solves": 2, "matvecs": 0}
+        assert same_bits(H, model.at(X).hess_vec(D))
+
+
+@st.composite
+def _call_sequences(draw):
+    """A model on an objective with a fused oracle (nleig, Brockett) or
+    without one (nleig written straight through), three points, a direction
+    (or a stack, except for the straight-through nleig), and a sequence of
+    (oracle, point, change the point after the call)."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["nleig", "brockett", "reference"]))
+    if kind == "nleig":
+        obj = ep.nleig_make(n, p, alpha=1.0)
+    elif kind == "brockett":
+        obj = ep.brockett_make(ep.random_symmetric(n, [seed, 0]), ep.random_symmetric(p, [seed, 1]))
+    else:
+        obj = reference_nleig(n, p, 1.0)
+    model = ep.ExPenModel(obj, beta=draw(st.floats(0.1, 100.0)))
+    rng = np.random.default_rng(seed)
+    points = [rng.uniform(0.5, 1.5) * stiefel(n, p, seed + i) for i in range(3)]
+    D = rng.standard_normal((n, p) if kind == "reference" else draw(st.sampled_from([(n, p), (2, n, p)])))
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(["value", "grad", "hess_vec"]), st.integers(0, 5), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ))
+    return model, points, D, calls
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_call_sequences())
+def test_shared_evaluation_equals_a_fresh_one_in_any_interleaving(case):
+    # Threads share the model. Each runs the sequence on its own copies of the
+    # points (j < 3), changed in place in their last bit after a call where
+    # asked, or on a new copy of a point as drawn (j >= 3), which has the
+    # bits an earlier call saw before the change.
+    model, points, D, calls = case
+    errors = []
+
+    def worker(t):
+        mine = [X.copy() for X in points]
+        try:
+            for i, (name, j, change) in enumerate(calls):
+                X = mine[j] if j < 3 else points[j - 3].copy()
+                fresh = model.at(X.copy())
+                if name == "hess_vec":
+                    got, expected = model.hess_vec(X, D), fresh.hess_vec(D)
+                else:
+                    got, expected = getattr(model, name)(X), getattr(fresh, name)()
+                if not same_bits(got, expected):
+                    errors.append((t, i, name))
+                if change:
+                    r, c = (i + t) % X.shape[0], (i + t) % X.shape[1]
+                    X[r, c] = np.nextafter(X[r, c], np.inf)
+        except Exception as exc:  # reported by the assert below
+            errors.append((t, repr(exc)))
+
+    threads = [threading.Thread(target=worker, args=(t,), daemon=True) for t in range(3)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []

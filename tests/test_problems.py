@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expen as ep
-import expen.problems
 from expen.exceptions import DimensionError
 
 from helpers import expanded_nleig, reference_nleig, same_bits, stiefel
@@ -78,8 +77,8 @@ def test_nleig_hess_vec_is_nan_at_a_non_finite_point(shape):
 
 
 class TestNleigMemo:
-    """The memo shared by value, gradient and hess_vec returns the bits of
-    the straight-through formulas in every call order."""
+    """value, gradient and hess_vec return the bits of the straight-through
+    formulas in every call order; what they cost is tested on the model."""
 
     n, p = 9, 3
 
@@ -134,44 +133,6 @@ class TestNleigMemo:
         obj.gradient(X)[:] = np.nan
         assert same_bits(obj.gradient(X), ref.gradient(X))
         assert same_bits(obj.value(X), ref.value(X))
-
-    @staticmethod
-    def _count_solves_and_matvecs(monkeypatch):
-        counts = {"solve": 0, "matvec": 0}
-        solve, matvec = expen.problems.tridiag_solve, ep.TridiagMatrix.matvec
-
-        def counted_solve(T, rhs):
-            counts["solve"] += 1
-            return solve(T, rhs)
-
-        def counted_matvec(T, v):
-            counts["matvec"] += 1
-            return matvec(T, v)
-
-        monkeypatch.setattr(expen.problems, "tridiag_solve", counted_solve)
-        monkeypatch.setattr(ep.TridiagMatrix, "matvec", counted_matvec)
-        return counts
-
-    def test_new_point_costs_one_solve_and_no_stencil_matvec(self, monkeypatch):
-        # value and gradient read H X from the memo
-        counts = self._count_solves_and_matvecs(monkeypatch)
-        obj, _, X1 = self._setup(1.0, seed=3)
-        for i, X in enumerate((X1, 2.0 * X1, X1), start=1):
-            obj.value(X)
-            obj.gradient(X)
-            obj.value(X)
-            obj.gradient(X)
-            assert counts == {"solve": i, "matvec": 0}
-
-    @pytest.mark.parametrize("shape", [(9, 3), (5, 9, 3)], ids=["one", "stack"])
-    def test_hess_vec_costs_one_solve_and_no_stencil_matvec(self, monkeypatch, shape):
-        # at a memoised point, one solve for w and the stencil applied in place
-        obj, _, X = self._setup(1.0, seed=4)
-        D = np.random.default_rng(4).standard_normal(shape)
-        obj.value(X)
-        counts = self._count_solves_and_matvecs(monkeypatch)
-        obj.hess_vec(X, D)
-        assert counts == {"solve": 1, "matvec": 0}
 
 
 class TestNleigHamiltonianForm:

@@ -463,6 +463,18 @@ class TestFrcgSolve:
         assert report.termination_detail.startswith("LineSearchError: trial step ")
         assert report.termination_detail.endswith(" exceeded cap 1e+10")
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_failed_conjugate_search_is_retried_along_steepest_descent(self, seed):
+        # Brockett 30x4 at beta = 50 and tolerance 1e-6: the search along the
+        # FR direction at iteration 1 712 (seed 0) or 2 240 (seed 3) finds no
+        # trial below the rounding of h and used to end LineSearchFailure;
+        # one retry along -grad h carries the run on to a certified stop.
+        spec = ep.RunSpec("brockett", 30, 4, seed=seed, beta_override=50.0, grad_tol=1e-6)
+        report = ep.run_benchmark(spec).reports[0]
+        assert report.termination is ep.Termination.GRAD_TOL
+        assert report.certified
+        assert report.termination_detail == ""
+
     @pytest.mark.parametrize("max_iters", [5, 10000])
     def test_termination_detail_is_empty_without_line_search_failure(self, max_iters):
         model = _penalized_nleig(10, 3, beta=20.0)
