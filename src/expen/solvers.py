@@ -147,9 +147,9 @@ def strong_wolfe(f0, d0, line, initial_step=1.0):
     too short to split returns the trial at its lower end, if that lies
     beyond the start and below f0. Raises DimensionError when initial_step
     is not positive, NonDescentError when d0 >= 0, LineSearchError when the
-    trial step exceeds 1e10, the interval collapses otherwise, or refinement
-    exhausts its budget. A trial whose h is NaN fails the
-    sufficient-decrease condition.
+    trial step exceeds 1e10, bracketing exhausts 200 expansions, the
+    interval collapses otherwise, or refinement exhausts its budget. A trial
+    whose h is NaN fails the sufficient-decrease condition.
     """
     if not (initial_step > 0.0):
         raise DimensionError(f"initial_step must be positive, got {initial_step}")
@@ -216,7 +216,23 @@ class _Trial:
         return inner(self.grad, self.D)
 
 
-def _descent_loop(model, X0, config, use_cg, clock):
+def _fletcher_reeves(D, g_next, gnorm, gnorm_next):
+    D *= (gnorm_next * gnorm_next) / (gnorm * gnorm)
+    D -= g_next
+    return D
+
+
+def _steepest(D, g_next, gnorm, gnorm_next):
+    return -g_next
+
+
+def _descent_loop(model, X0, config, direction, clock):
+    """Line-search descent on h; direction(D, g_next, ||g||, ||g_next||) gives the next D.
+
+    A direction that is not a strict descent direction, or along which the
+    search fails, is replaced once by -grad h; a failure along -grad h ends
+    the run LineSearchFailure.
+    """
     obj = model.objective
 
     start = clock()
@@ -233,7 +249,7 @@ def _descent_loop(model, X0, config, use_cg, clock):
         trace.append(IterTrace(k=k, h_val=h, grad_h_norm=gnorm, feas=fnorm(ev.R), f_val=float(obj.value(ev.X))))
 
     eta_prev = None
-    gD_prev = None
+    d0_prev = None
     detail = ""
     k = 0
 
@@ -248,26 +264,14 @@ def _descent_loop(model, X0, config, use_cg, clock):
             termination = Termination.MAX_ITERS
             break
 
-        # d0 is the slope of h along D; after a restart the warm start reads
-        # gD = -||g||^2, which differs from d0 in the last bits
-        gD = d0 = inner(g, D)
-        # restart guard: the theory needs strict descent, which the FR update
-        # can lose; reset to steepest descent when it does
-        if gD >= -1e-12 * gnorm * fnorm(D):
-            D = -g
-            gD = -(gnorm * gnorm)
-            d0 = inner(g, D)
-
-        if eta_prev is None:
-            initial = 1.0
-        else:
-            initial = eta_prev * gD_prev / gD
-            initial = min(max(initial, _TRIAL_MIN), _TRIAL_MAX)
-
+        d0 = inner(g, D)
         try:
+            if not d0 < -1e-12 * gnorm * fnorm(D):
+                raise NonDescentError(f"slope {d0:.3e} along the direction is not strict descent")
+            initial = 1.0 if eta_prev is None else min(max(eta_prev * d0_prev / d0, _TRIAL_MIN), _TRIAL_MAX)
             accepted = strong_wolfe(h, d0, partial(_Trial, calls, model, ev.X, D), initial_step=initial)
         except LineSearchError as exc:
-            if not np.array_equal(D, -g):  # a conjugate direction: retry once along -grad h
+            if not np.array_equal(D, -g):  # fall back once to -grad h
                 D = -g
                 continue
             termination = Termination.LINE_SEARCH_FAILURE
@@ -279,14 +283,8 @@ def _descent_loop(model, X0, config, use_cg, clock):
 
         ev, h, g_next = accepted.ev, accepted.h, accepted.grad
         gnorm_next = fnorm(g_next)
-
-        if use_cg:
-            tau = (gnorm_next * gnorm_next) / (gnorm * gnorm)
-            D *= tau
-            D -= g_next
-        else:
-            D = -g_next
-        eta_prev, gD_prev = accepted.t, gD
+        D = direction(D, g_next, gnorm, gnorm_next)
+        eta_prev, d0_prev = accepted.t, d0
         g, gnorm = g_next, gnorm_next
         k += 1
 
@@ -330,18 +328,18 @@ def frcg_solve(model, X0, config, *, clock=time.perf_counter):
     """Nonlinear conjugate gradient on the penalty model.
 
     Directions follow D_{k+1} = -grad h(X_{k+1}) + tau_k D_k with the
-    Fletcher-Reeves ratio tau_k = ||grad h(X_{k+1})||^2 / ||grad h(X_k)||^2,
-    restarted to steepest descent whenever descent degrades. Steps satisfy
-    the strong Wolfe conditions. A search that fails along a conjugate
-    direction is retried once along -grad h; a failure there is a terminal
-    status carrying the last iterate, not an exception.
+    Fletcher-Reeves ratio tau_k = ||grad h(X_{k+1})||^2 / ||grad h(X_k)||^2.
+    Steps satisfy the strong Wolfe conditions. A direction that is not a
+    strict descent direction, or along which the search fails, is replaced
+    once by -grad h; a failure there is a terminal status carrying the last
+    iterate, not an exception.
 
     The clock parameter exists so callers can inject a deterministic timer;
     wall_seconds covers the iteration loop only.
     """
-    return _descent_loop(model, X0, config, use_cg=True, clock=clock)
+    return _descent_loop(model, X0, config, _fletcher_reeves, clock)
 
 
 def gd_solve(model, X0, config, *, clock=time.perf_counter):
     """Steepest descent baseline with the same line search and reporting."""
-    return _descent_loop(model, X0, config, use_cg=False, clock=clock)
+    return _descent_loop(model, X0, config, _steepest, clock)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotStationaryError, NumericalError
-from .geometry import _require_feasible, riemannian_grad
+from .geometry import _require_feasible, tangent_project
 from .linalg import fnorm, inner, sym
 from .model import ExPenModel, apen_map, jx_apply, smoothed_grad
 from .problems import constant_make
@@ -169,12 +169,13 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
     """
     Xstar = np.asarray(Xstar, dtype=float)
     n, p = Xstar.shape
-    rg = fnorm(riemannian_grad(obj, Xstar))
+    G = np.asarray(obj.gradient(Xstar), dtype=float)
+    rg = fnorm(tangent_project(Xstar, G))
     if rg > 1e-8:
         raise NotStationaryError(f"||riemannian grad||_F = {rg:.3e} exceeds 1e-8 at Xstar")
 
     basis = tangent_basis(Xstar)
-    Sg = sym(Xstar.T @ np.asarray(obj.gradient(Xstar), dtype=float))
+    Sg = sym(Xstar.T @ G)
     D = basis.T.reshape(-1, n, p)
     images = np.asarray(obj.hess_vec(Xstar, D), dtype=float) - D @ Sg
     riem = sym(basis.T @ images.reshape(len(D), n * p).T)

@@ -371,15 +371,18 @@ class TestFrcgSolve:
         assert np.array_equal(a.final_point, b.final_point)
         assert a.fval == b.fval and a.iterations == b.iterations
 
-    def test_replicates_reference_recurrence(self):
-        # Reimplement six FR-CG iterations from the documented recurrence
-        # (restart guard, warm-started trial step, Wolfe search) and demand
-        # bitwise agreement with the solver, covering the direction update
-        # D_{k+1} = -g_{k+1} + tau_k D_k and the recorded h values.
+    @pytest.mark.parametrize("solve, fletcher_reeves", [(ep.frcg_solve, True), (ep.gd_solve, False)],
+                             ids=["fletcher_reeves", "steepest"])
+    def test_replicates_reference_recurrence(self, solve, fletcher_reeves):
+        # Reimplement six iterations from the documented recurrence (restart
+        # to -g when D is not a strict descent direction, warm-started trial
+        # step, Wolfe search) and demand bitwise agreement with the solver,
+        # covering the direction update D_{k+1} = -g_{k+1} + tau_k D_k
+        # (tau_k = 0 for steepest descent) and the recorded h values.
         model = _penalized_nleig(10, 3, beta=20.0)
         X0 = stiefel(10, 3, seed=5)
         cfg = ep.SolverConfig(grad_tol=0.0, max_iters=6, trace_enabled=True)
-        report = ep.frcg_solve(model, X0, cfg)
+        report = solve(model, X0, cfg)
 
         X = X0.copy()
         h = model.value(X)
@@ -387,19 +390,17 @@ class TestFrcgSolve:
         gnorm = ep.fnorm(g)
         D = -g
         eta_prev = None
-        gD_prev = None
+        d0_prev = None
         hs = [h]
         for _ in range(6):
-            gD = ep.inner(g, D)
-            dnorm = ep.fnorm(D)
-            if gD >= -1e-12 * gnorm * dnorm:
+            d0 = ep.inner(g, D)
+            if not d0 < -1e-12 * gnorm * ep.fnorm(D):
                 D = -g
-                dnorm = gnorm
-                gD = -(gnorm * gnorm)
+                d0 = ep.inner(g, D)
             if eta_prev is None:
                 trial = 1.0
             else:
-                trial = min(max(eta_prev * gD_prev / gD, 1e-12), 1e6)
+                trial = min(max(eta_prev * d0_prev / d0, 1e-12), 1e6)
 
             class Trial:
                 def __init__(self, t):
@@ -408,19 +409,42 @@ class TestFrcgSolve:
                 def slope(self):
                     return ep.inner(model.grad(X + self.t * D), D)
 
-            eta = ep.strong_wolfe(h, ep.inner(g, D), Trial, initial_step=trial).t
+            eta = ep.strong_wolfe(h, d0, Trial, initial_step=trial).t
             X = X + eta * D
             h = model.value(X)
             g_next = model.grad(X)
             gnorm_next = ep.fnorm(g_next)
-            tau = (gnorm_next * gnorm_next) / (gnorm * gnorm)
-            D = -g_next + tau * D
-            eta_prev, gD_prev = eta, gD
+            if fletcher_reeves:
+                D = -g_next + (gnorm_next * gnorm_next) / (gnorm * gnorm) * D
+            else:
+                D = -g_next
+            eta_prev, d0_prev = eta, d0
             g, gnorm = g_next, gnorm_next
             hs.append(h)
 
         assert np.array_equal(report.raw_point, X)
         assert [row.h_val for row in report.trace] == hs
+
+    @pytest.mark.parametrize("seed, termination", [(15, ep.Termination.MAX_ITERS),
+                                                   (12, ep.Termination.LINE_SEARCH_FAILURE)],
+                             ids=["max_iters", "line_search_failure"])
+    def test_rule_giving_ascent_directions_falls_back_to_gradient_descent(self, seed, termination):
+        # +grad h is never a descent direction, so every iteration after the
+        # first falls back to -grad h before any trial: the run must be
+        # gd_solve's, bit for bit, calls and final failure included (seed 12
+        # ends on a failed search along -grad h at iteration 171).
+        model = _penalized_nleig(12, 3, beta=20.0)
+        X0 = stiefel(12, 3, seed=seed)
+        cfg = ep.SolverConfig(grad_tol=0.0, max_iters=200, trace_enabled=True)
+        ascent = expen.solvers._descent_loop(model, X0, cfg, lambda D, g_next, gnorm, gnorm_next: g_next,
+                                             CountingClock())
+        gd = ep.gd_solve(model, X0, cfg)
+        assert ascent.termination is gd.termination is termination
+        assert ascent.termination_detail == gd.termination_detail
+        assert ascent.iterations == gd.iterations > 100
+        assert np.array_equal(ascent.raw_point, gd.raw_point)
+        assert [row.h_val for row in ascent.trace] == [row.h_val for row in gd.trace]
+        assert (ascent.value_calls, ascent.grad_calls) == (gd.value_calls, gd.grad_calls)
 
     def test_max_iters_termination(self):
         model = _penalized_nleig(20, 5, beta=100.0)

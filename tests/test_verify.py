@@ -1,5 +1,7 @@
 """Tests for the independent verification oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -315,6 +317,21 @@ class TestSpectrumCorrespondence:
         i, j = np.triu_indices(p)
         assert_allclose(sorted(leftover), np.sort(2.0 * beta - 1.5 * (mu[i] + mu[j])), rtol=0, atol=1e-12 * (1.0 + beta))
         assert ep.spectrum_correspondence(model, obj, X).passed is (margin > 0.0)
+
+    def test_forms_the_objective_gradient_once(self):
+        obj = ep.brockett_make(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([2.0, 1.0]))
+        model = ep.ExPenModel(objective=obj, beta=100.0)
+        Xstar = np.zeros((4, 2))
+        Xstar[0, 0] = Xstar[1, 1] = 1.0
+        calls = []
+
+        def gradient(X):
+            calls.append(X)
+            return obj.gradient(X)
+
+        rep = ep.spectrum_correspondence(model, dataclasses.replace(obj, gradient=gradient), Xstar)
+        assert rep.passed, rep.line()
+        assert len(calls) == 1
 
     def test_not_stationary_raises(self):
         obj = ep.nleig_make(6, 2, alpha=1.0)
