@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .exceptions import DimensionError, ExPenError
@@ -33,7 +33,6 @@ _SOLVERS = {"frcg": frcg_solve, "gd": gd_solve}
 _PROBLEMS = ("nleig", "brockett")
 _FORMATS = ("csv", "json", "both")
 
-TABLE_HEADER = "solver,fval,iteration,stationarity,feasibility,wall_seconds"
 TRACE_HEADER = "k,h,grad_h_norm,feasibility,fval_gap"
 
 
@@ -43,8 +42,8 @@ def _fmt(x):
 
 
 def _cells(row):
-    """The TABLE_HEADER cells of a TableRow, whose fields the header names."""
-    return [row.solver] + [_fmt(getattr(row, name)) for name in TABLE_HEADER.split(",")[1:]]
+    """The TABLE_HEADER cells of a TableRow: its solver name, then each float field."""
+    return [row.solver] + [_fmt(getattr(row, f.name)) for f in fields(row)[1:]]
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,9 @@ class TableRow:
     stationarity: float
     feasibility: float
     wall_seconds: float
+
+
+TABLE_HEADER = ",".join(f.name for f in fields(TableRow))
 
 
 @dataclass(frozen=True)

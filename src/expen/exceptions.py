@@ -1,5 +1,18 @@
 """Exception taxonomy for the expen package."""
 
+__all__ = [
+    "ExPenError",
+    "DimensionError",
+    "NumericalError",
+    "NotPositiveDefiniteError",
+    "DegenerateProjectionError",
+    "FeasibilityError",
+    "CapabilityError",
+    "NotStationaryError",
+    "LineSearchError",
+    "NonDescentError",
+]
+
 
 class ExPenError(Exception):
     """Base class for all package-specific errors."""

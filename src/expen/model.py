@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import CapabilityError, DimensionError
+from .exceptions import CapabilityError, DimensionError, NumericalError
 from .linalg import fnorm, sym
 
 __all__ = [
@@ -114,10 +114,13 @@ def default_beta(obj, X0):
     """Penalty parameter rule ||grad f(X0)||_F / 10 for an initial point X0.
 
     Falls back to 1.0 when the gradient vanishes at X0 (the rule would give
-    an invalid beta = 0).
+    an invalid beta = 0), and raises NumericalError when its norm is not finite.
     """
     X0 = _check_point(X0, obj.n, obj.p, "X0")
-    b = fnorm(obj.gradient(X0)) / 10.0
+    gnorm = fnorm(obj.gradient(X0))
+    if not np.isfinite(gnorm):
+        raise NumericalError(f"||grad f(X0)||_F is {gnorm}, so the beta rule has no value")
+    b = gnorm / 10.0
     return b if b > 0.0 else 1.0
 
 

@@ -240,18 +240,25 @@ def test_criterion_7_benchmark_protocol(benchmark_run, tmp_path):
 
 
 def test_readme_cli_line_matches_benchmark_run(benchmark_run):
-    # the README's nleig run is the criterion 7 specification; the
-    # wall-clock column is not compared
-    spec, result, _ = benchmark_run
-    command = "$ expen-bench --problem nleig --n 250 --p 50 --alpha 1.0 --seed 0 --repeats 3 --grad-tol 1e-3"
-    assert spec == ep.RunSpec(problem="nleig", n=250, p=50, alpha=1.0, seed=0, repeats=3, grad_tol=1e-3)
+    # the README's nleig run is the criterion 7 specification, and its
+    # Brockett run takes milliseconds; the wall-clock column is not compared
+    nleig_spec, nleig_result, _ = benchmark_run
+    assert nleig_spec == ep.RunSpec(problem="nleig", n=250, p=50, alpha=1.0, seed=0, repeats=3, grad_tol=1e-3)
+    brockett_spec = ep.RunSpec(problem="brockett", n=6, p=2, beta_override=5.0, seed=0, repeats=2, grad_tol=1e-6)
+    runs = {
+        "$ expen-bench --problem nleig --n 250 --p 50 --alpha 1.0 --seed 0 --repeats 3 --grad-tol 1e-3":
+            (nleig_spec, nleig_result),
+        "$ expen-bench --problem brockett --n 6 --p 2 --beta 5 --seed 0 --repeats 2 --grad-tol 1e-6":
+            (brockett_spec, ep.run_benchmark(brockett_spec)),
+    }
     lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
-    header, row = lines[lines.index(command) + 1:lines.index(command) + 3]
-    assert header.split() == TABLE_HEADER.split(",")
-    cells = dict(zip(header.split(), row.split()))
-    assert cells["solver"] == spec.solver
-    for name in ("fval", "iteration", "stationarity", "feasibility"):
-        assert cells[name] == _fmt(getattr(result.row, name)), name
+    for command, (spec, result) in runs.items():
+        header, row = lines[lines.index(command) + 1:lines.index(command) + 3]
+        assert header.split() == TABLE_HEADER.split(",")
+        cells = dict(zip(header.split(), row.split()))
+        assert cells["solver"] == spec.solver
+        for name in ("fval", "iteration", "stationarity", "feasibility"):
+            assert cells[name] == _fmt(getattr(result.row, name)), (spec.problem, name)
 
 
 def test_criterion_8_stationarity_certification(benchmark_run):

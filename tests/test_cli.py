@@ -1,10 +1,12 @@
 """Tests for the benchmark driver: spec validation, aggregation, emission, exit codes."""
 
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -321,3 +323,19 @@ def test_python_m_runs_without_runtime_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: expen-bench")
     assert proc.stderr == ""
+
+
+def test_public_names_are_the_modules_all():
+    # each module's __all__ is the one list of the package's top-level names;
+    # the CLI's are listed again in _CLI_NAMES only because they load lazily
+    modules = ("exceptions", "linalg", "model", "geometry", "problems", "solvers", "verify")
+    declared = set().union(*(importlib.import_module(f"expen.{m}").__all__ for m in modules))
+    eager = {
+        name for name in dir(ep)
+        if not name.startswith("_") and not isinstance(getattr(ep, name), types.ModuleType)
+    }
+    assert eager == declared
+    assert set(ep._CLI_NAMES) == set(expen.cli.__all__)
+    assert not declared & set(ep._CLI_NAMES)
+    for name in ep._CLI_NAMES:
+        assert getattr(ep, name) is getattr(expen.cli, name)

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 import expen.model
 import expen.problems
-from expen.exceptions import CapabilityError, DimensionError
+from expen.exceptions import CapabilityError, DimensionError, NumericalError
 
 from helpers import near_stiefel, reference_nleig, same_bits, stiefel
 
@@ -132,6 +132,13 @@ class TestDefaultBeta:
     def test_zero_gradient_falls_back_to_one(self):
         obj = ep.constant_make(5, 2, level=3.0)
         assert ep.default_beta(obj, stiefel(5, 2, seed=0)) == 1.0
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_gradient_norm_raises(self, entry):
+        obj = dataclasses.replace(ep.nleig_make(5, 2, alpha=1.0),
+                                  gradient=lambda X: np.full(X.shape, entry))
+        with pytest.raises(NumericalError, match=f"is {entry}"):
+            ep.default_beta(obj, stiefel(5, 2, seed=0))
 
 
 class TestPenaltyValue:

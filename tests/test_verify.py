@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expen as ep
-from expen.exceptions import DimensionError, FeasibilityError, NotStationaryError
+from expen.exceptions import DimensionError, FeasibilityError, NotStationaryError, NumericalError
 
 from helpers import stiefel
 
@@ -114,6 +114,35 @@ class TestFdHessvecCheck:
         assert not rep.passed
 
 
+def _nan_oracle(Z, *direction):
+    """An oracle that returns NaN in every entry of a gradient, Hessian-vector
+    product or Jacobian image."""
+    return np.full(np.shape(direction[0] if direction else Z), np.nan)
+
+
+def _nan_objective(n, p):
+    return dataclasses.replace(ep.nleig_make(n, p, alpha=1.0), gradient=_nan_oracle, value_and_grad=None)
+
+
+# Each sampled check on an all-NaN oracle: max() over the samples would drop
+# every NaN error and report 0 and PASS.
+_NAN_CHECKS = {
+    "fd_gradient": lambda X: ep.fd_gradient_check(lambda Z: np.nan, _nan_oracle, X),
+    "fd_hessvec": lambda X: ep.fd_hessvec_check(_nan_oracle, _nan_oracle, X),
+    "inner_identity": lambda X: ep.inner_identity_check(_nan_objective(*X.shape), X),
+    "selfadjoint": lambda X: ep.selfadjoint_check(X, operator=_nan_oracle),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_NAN_CHECKS))
+def test_nan_oracle_fails_the_check(check):
+    X = np.random.default_rng(12).standard_normal((5, 2))
+    rep = _NAN_CHECKS[check](X)
+    assert np.isnan(rep.max_rel_error)
+    assert not rep.passed
+    assert "max_rel_error=nan" in rep.line() and "status=FAIL" in rep.line()
+
+
 def _assemble_by_columns(model, X):
     """The dense penalty Hessian from one hess_vec call per canonical
     direction, row-major: the reference for the stacked assembly."""
@@ -191,6 +220,13 @@ class TestAssembleHessian:
         model = ep.ExPenModel(objective=ep.constant_make(100, 30), beta=1.0)
         with pytest.raises(DimensionError):
             ep.assemble_hessian(model, np.zeros((100, 30)))
+
+    def test_nan_hess_vec_raises(self):
+        obj = dataclasses.replace(ep.nleig_make(4, 2, alpha=1.0), hess_vec=_nan_oracle)
+        model = ep.ExPenModel(objective=obj, beta=5.0)
+        X = np.random.default_rng(13).standard_normal((4, 2))
+        with pytest.raises(NumericalError, match="asymmetry nan"):
+            ep.assemble_hessian(model, X)
 
 
 class TestTangentBasis:
