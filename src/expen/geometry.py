@@ -69,7 +69,7 @@ def project_stiefel(X):
 def _require_feasible(X, op):
     X = np.asarray(X, dtype=float)
     feas = feasibility(X)
-    if feas > _FEAS_TOL:
+    if not feas <= _FEAS_TOL:  # a NaN point fails too
         raise FeasibilityError(
             f"{op} needs a column-orthonormal point; ||X^T X - I||_F = {feas:.3e}"
         )

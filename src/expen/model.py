@@ -74,7 +74,7 @@ def _check_point(X, n, p, name="X", stack=False):
     if X.shape[-2:] != (n, p) or X.ndim > 2 + stack:
         shapes = f"({n}, {p}) or (k, {n}, {p})" if stack else f"({n}, {p})"
         raise DimensionError(f"{name} must have shape {shapes}, got {X.shape}")
-    return X
+    return np.ascontiguousarray(X)
 
 
 def _check_tall(X, name):
@@ -129,9 +129,9 @@ class ExPenModel:
     """The penalty oracle h, grad h, and hess h [D] for a SmoothObjective.
 
     value, grad and hess_vec share the Evaluation of the last point asked,
-    keyed on the bytes of X, built on a read-only copy of them and published
-    as one tuple, so X may change in place and threads may share the model.
-    at(X), and a point that is not C-contiguous, get a fresh one on X itself.
+    keyed on the bytes of X in C order, built on a read-only copy of them and
+    published as one tuple, so X may change in place and threads may share
+    the model. at(X) gets a fresh one. No result depends on X's layout.
     """
 
     objective: SmoothObjective
@@ -158,8 +158,6 @@ class ExPenModel:
 
     def _shared(self, X):
         X = _check_point(X, self.n, self.p)
-        if not X.flags.c_contiguous:  # a C-ordered copy could move the last bits
-            return Evaluation(self.objective, self.beta, X)
         key = X.tobytes()
         last = self._last
         if last is None or last[0] != key:

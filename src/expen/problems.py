@@ -41,8 +41,8 @@ def nleig_make(n, p, alpha=1.0):
     and H X once, with one solve and three passes over X, and value and
     gradient each make that one call. hess_vec forms its own z, applies H to
     D and adds alpha (w o X), w = L^{-1} diag(X D^T + D X^T), with one solve
-    for a whole stack of directions. Where a solve's right-hand side is not
-    finite, every oracle is NaN.
+    for a whole stack of directions. A solve whose right-hand side is not
+    finite is not made: it returns NaN, so every oracle is NaN there.
 
     Parameters
     ----------
@@ -57,13 +57,8 @@ def nleig_make(n, p, alpha=1.0):
     L = laplacian_1d(n)
 
     def solve(b):
-        # L^{-1} b; NaN for a non-finite b, which tridiag_solve rejects with ValueError
-        try:
-            return tridiag_solve(L, b)
-        except DimensionError:
-            raise
-        except ValueError:
-            return np.full(b.shape, np.nan)
+        # L^{-1} b; NaN for a non-finite b, which tridiag_solve would reject
+        return tridiag_solve(L, b) if np.isfinite(b).all() else np.full(b.shape, np.nan)
 
     def hamiltonian(z, M):
         # (L + alpha Diag(z)) M for M (n, p) or (k, n, p), from the (2, -1)
@@ -93,18 +88,18 @@ def nleig_make(n, p, alpha=1.0):
     return SmoothObjective(n, p, value, gradient, hess_vec, value_and_grad)
 
 
+def _symmetric(M, name):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionError(f"{name} must be square, got {M.shape}")
+    if not (np.isfinite(M).all() and np.linalg.norm(M - M.T) <= 1e-12 * (1.0 + np.linalg.norm(M))):
+        raise DimensionError(f"{name} must be finite and symmetric")
+    return M
+
+
 def brockett_make(B, C):
     """Brockett trace objective f(X) = (1/2) tr(X^T B X C) for symmetric B, C."""
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise DimensionError(f"B must be square, got {B.shape}")
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise DimensionError(f"C must be square, got {C.shape}")
-    if np.linalg.norm(B - B.T) > 1e-12 * (1.0 + np.linalg.norm(B)):
-        raise DimensionError("B must be symmetric")
-    if np.linalg.norm(C - C.T) > 1e-12 * (1.0 + np.linalg.norm(C)):
-        raise DimensionError("C must be symmetric")
+    B, C = _symmetric(B, "B"), _symmetric(C, "C")
 
     def value_and_grad(X):
         G = B @ X @ C

@@ -54,6 +54,7 @@ class SolverConfig:
 
     The solvers stop once ||grad h||_F <= grad_tol or after max_iters
     iterations, and keep one IterTrace row per iteration when trace_enabled.
+    grad_tol must be nonnegative and finite, max_iters at least 1.
     """
 
     grad_tol: float = 1e-3
@@ -61,10 +62,8 @@ class SolverConfig:
     trace_enabled: bool = False
 
     def __post_init__(self):
-        if not (self.grad_tol >= 0.0):
-            raise DimensionError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if self.grad_tol == math.inf:
-            raise DimensionError(f"grad_tol must be finite, got {self.grad_tol}")
+        if not (0.0 <= self.grad_tol < math.inf):
+            raise DimensionError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
         if not (self.max_iters >= 1):
             raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -99,14 +98,16 @@ class SolverReport:
     final_point, fval, stationarity, and feasibility describe the iterate
     after projection onto the manifold; raw_point and the raw_* fields keep
     the last iterate as the loop left it, so certified-bound checks can see
-    both sides. termination_detail keeps the class and text of the line
-    search error behind a LineSearchFailure. A run at whose iterate h or
-    ||grad h|| is not finite ends NonFinite. A run whose last iterate is too
-    close to rank deficient to project ends RankDeficient, with final_point
-    None and NaN fval, stationarity and feasibility; a last iterate with a
-    non-finite entry keeps the loop's stop and gets the same fields. Either
-    way termination_detail names the loop's own stop and the projection
-    error. termination_detail is "" after every other stop.
+    both sides. wall_seconds is the clock time from the evaluation at X0 to
+    the loop's stop; the final projection and the scoring fall outside it.
+    termination_detail keeps the class and text of the line search error
+    behind a LineSearchFailure. A run at whose iterate h or ||grad h|| is
+    not finite ends NonFinite. A run whose last iterate is too close to rank
+    deficient to project ends RankDeficient, with final_point None and NaN
+    fval, stationarity and feasibility; a last iterate with a non-finite
+    entry keeps the loop's stop and gets the same fields. Either way
+    termination_detail names the loop's own stop and the projection error.
+    termination_detail is "" after every other stop.
 
     certified is True only for a GradTol stop at a raw iterate inside the
     certificate region (in_certificate_region): raw_feasibility at most 1/6
@@ -146,14 +147,14 @@ def strong_wolfe(f0, d0, line, initial_step=1.0):
     containing acceptable points is then refined by bisection. An interval
     too short to split returns the trial at its lower end, if that lies
     beyond the start and below f0. Raises DimensionError when initial_step
-    is not positive, NonDescentError when d0 >= 0, LineSearchError when the
+    is not positive, NonDescentError unless d0 < 0, LineSearchError when the
     trial step exceeds 1e10, bracketing exhausts 200 expansions, the
     interval collapses otherwise, or refinement exhausts its budget. A trial
     whose h is NaN fails the sufficient-decrease condition.
     """
     if not (initial_step > 0.0):
         raise DimensionError(f"initial_step must be positive, got {initial_step}")
-    if d0 >= 0.0:
+    if not d0 < 0.0:
         raise NonDescentError(f"directional derivative at 0 is {d0:.3e}, not a descent direction")
 
     def zoom(lo, hi):

@@ -176,7 +176,7 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
     n, p = Xstar.shape
     G = np.asarray(obj.gradient(Xstar), dtype=float)
     rg = fnorm(tangent_project(Xstar, G))
-    if rg > 1e-8:
+    if not rg <= 1e-8:
         raise NotStationaryError(f"||riemannian grad||_F = {rg:.3e} exceeds 1e-8 at Xstar")
 
     basis = tangent_basis(Xstar)

@@ -13,7 +13,7 @@ import pytest
 
 import expen as ep
 import expen.cli
-from expen.exceptions import DimensionError
+from expen.exceptions import DimensionError, ExPenError, NumericalError
 
 from helpers import CountingClock
 
@@ -159,6 +159,18 @@ class TestEmitOutputs:
         with pytest.raises(DimensionError):
             ep.emit_outputs([result.row], None, "yaml", str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "blocked, match", [("out", "cannot create output directory"), ("out/table.csv", "cannot write")]
+    )
+    def test_os_error_becomes_expen_error(self, result, tmp_path, blocked, match):
+        # a file where the output directory should be, or a directory where table.csv should be
+        if blocked == "out":
+            (tmp_path / "out").write_text("")
+        else:
+            (tmp_path / blocked).mkdir(parents=True)
+        with pytest.raises(ExPenError, match=match):
+            ep.emit_outputs([result.row], None, "csv", str(tmp_path / "out"))
+
 
 class TestMain:
     def _argv(self, tmp_path, *extra):
@@ -243,6 +255,16 @@ class TestMain:
         # outputs are still written so a failed benchmark remains inspectable
         assert (tmp_path / "table.csv").exists()
 
+    def test_benchmark_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def no_beta(obj, X0):
+            raise NumericalError("||grad f(X0)||_F is nan, so the beta rule has no value")
+
+        monkeypatch.setattr(expen.cli, "default_beta", no_beta)
+        argv = ["--problem", "brockett", "--n", "6", "--p", "2", "--out-dir", str(tmp_path)]
+        assert ep.main(argv) == 2
+        assert "error: benchmark run failed: ||grad f(X0)||_F is nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_uncertified_gradtol_stop_exits_two(self, tmp_path, capsys):
         # nleig 60x8 seed 0 stops GradTol at raw feasibility 1.01, outside
         # the region 1/6 where a small grad h certifies the projected point
@@ -260,6 +282,7 @@ class TestMain:
             (("NON_FINITE", "NON_FINITE"), 2),
             (("LINE_SEARCH_FAILURE", "NON_FINITE"), 2),
             (("NON_FINITE", "GRAD_TOL"), 0),
+            (("MAX_ITERS", "MAX_ITERS"), 0),
         ],
     )
     def test_non_finite_repeats_count_as_failures(self, tmp_path, monkeypatch, capsys, ends, expected):

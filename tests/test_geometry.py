@@ -62,6 +62,14 @@ class TestProjectStiefel:
         with pytest.raises(DimensionError):
             ep.project_stiefel(np.zeros((2, 5)))
 
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalError, match="SVD did not converge for a 4x2 matrix"):
+            ep.project_stiefel(np.ones((4, 2)))
+
     def test_nan_entry_raises_numerical_error(self):
         # an inf entry too: its SVD has NaN singular values, which no rank test rejects
         for entry in (np.nan, np.inf, -np.inf):
@@ -123,6 +131,23 @@ class TestTangentProject:
     def test_infeasible_base_point_raises(self):
         with pytest.raises(FeasibilityError):
             ep.tangent_project(np.full((4, 2), 0.9), np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda X: ep.tangent_project(X, X),
+        lambda X: ep.riemannian_grad(ep.constant_make(8, 3), X),
+        ep.tangent_basis,
+    ],
+    ids=["tangent_project", "riemannian_grad", "tangent_basis"],
+)
+def test_nan_point_is_not_feasible(op):
+    # its feasibility is NaN, which a test of feasibility > 1e-8 would pass
+    X = stiefel(8, 3, seed=4)
+    X[2, 1] = np.nan
+    with pytest.raises(FeasibilityError, match="= nan"):
+        op(X)
 
 
 class TestRiemannianGrad:

@@ -185,6 +185,20 @@ class TestTridiag:
             with pytest.raises(DimensionError):
                 T.matvec(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ep.TridiagMatrix(diag=np.ones((2, 2)), sub=np.ones(1)),
+            lambda: ep.TridiagMatrix(diag=np.ones(0), sub=np.ones(0)),
+            lambda: ep.laplacian_1d(0),
+            lambda: ep.tridiag_solve(dense(ep.laplacian_1d(3)), np.ones(3)),
+        ],
+        ids=["diag-2d", "empty", "laplacian-0", "dense-matrix"],
+    )
+    def test_malformed_matrix_raises(self, call):
+        with pytest.raises(DimensionError):
+            call()
+
     @pytest.mark.parametrize("n", [2, 250, 4000])
     def test_bit_identical_to_solveh_banded(self, n):
         rng = np.random.default_rng(n)

@@ -308,6 +308,11 @@ class TestModelMetadata:
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.beta = 5.0
 
+    @pytest.mark.parametrize("objective", [None, ep.constant_make(3, 2).value], ids=["none", "function"])
+    def test_objective_must_be_a_smooth_objective(self, objective):
+        with pytest.raises(DimensionError, match="SmoothObjective"):
+            ep.ExPenModel(objective=objective, beta=2.0)
+
 
 # The penalty oracles written straight through, the reference whose bits the
 # model's evaluations must reproduce: every call recomputes
@@ -667,6 +672,28 @@ class TestSharedEvaluation:
         H = model.hess_vec(X, D)
         assert counts == {"evaluations": 0, "solves": 2, "matvecs": 0}
         assert same_bits(H, model.at(X).hess_vec(D))
+
+
+_LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "strided": lambda M: np.repeat(M, 2, axis=-1)[..., ::2],
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("case, n, p", [("nleig-alpha1", 250, 50), ("nleig-alpha1", 4000, 3), ("brockett", 60, 6)])
+def test_oracles_do_not_depend_on_memory_layout(case, n, p, layout):
+    # an F-ordered or strided X (and D) gets the bits of its C-ordered copy
+    model = ep.ExPenModel(_CASES[case](n, p)[0], beta=3.0)
+    X = near_stiefel(n, p, seed=n)
+    D = np.random.default_rng(p).standard_normal((2, n, p))
+    Xl, Dl = _LAYOUTS[layout](X), _LAYOUTS[layout](D)
+    assert not Xl.flags.c_contiguous and np.array_equal(Xl, X) and np.array_equal(Dl, D)
+    fresh = model.at(np.ascontiguousarray(Xl))
+    assert same_bits(model.value(Xl), fresh.value())
+    assert same_bits(model.grad(Xl), fresh.grad())
+    assert same_bits(model.hess_vec(Xl, Dl), fresh.hess_vec(D))
+    assert same_bits(model.at(Xl).grad(), fresh.grad())
 
 
 @st.composite

@@ -76,6 +76,22 @@ def test_nleig_hess_vec_is_nan_at_a_non_finite_point(shape):
         assert np.isnan(H).all()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ep.brockett_make(np.ones((3, 2)), np.eye(2)),
+        lambda: ep.brockett_make(np.eye(3), np.ones(2)),
+        lambda: ep.linear_make(np.ones((2, 3))),
+        lambda: ep.random_stiefel((5, 2, 0)),
+        lambda: ep.nleig_make(4, 2).hess_vec(np.eye(4, 2), np.ones((2, 3, 4, 2))),
+    ],
+    ids=["brockett-B-not-square", "brockett-C-1d", "linear-wide", "stiefel-tuple", "nleig-hess-vec-4d"],
+)
+def test_malformed_input_raises(call):
+    with pytest.raises(DimensionError):
+        call()
+
+
 class TestNleigMemo:
     """value, gradient and hess_vec return the bits of the straight-through
     formulas in every call order; what they cost is tested on the model."""
@@ -210,6 +226,14 @@ class TestBrockett:
             ep.brockett_make(bad, np.eye(2))
         with pytest.raises(DimensionError):
             ep.brockett_make(good, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # a NaN or inf entry, symmetric as it stands, is no coefficient matrix
+        for entry in (np.nan, np.inf, -np.inf):
+            M = np.eye(3)
+            M[0, 1] = M[1, 0] = entry
+            with pytest.raises(DimensionError, match="B must be finite"):
+                ep.brockett_make(M, np.eye(2))
+            with pytest.raises(DimensionError, match="C must be finite"):
+                ep.brockett_make(good, M)
 
 
 _STACK_OBJECTIVES = {

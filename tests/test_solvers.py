@@ -73,6 +73,23 @@ class TestStrongWolfe:
         with pytest.raises(LineSearchError):
             _search(lambda t: -t, lambda t: -1.0)
 
+    def test_nan_slope_is_not_descent(self):
+        trials = []
+
+        def phi(t):
+            trials.append(t)
+            return -t
+
+        with pytest.raises(NonDescentError):
+            _search(phi, lambda t: float("nan"))
+        assert trials == [0.0]  # the start only: no trial along the line
+
+    def test_bracketing_exhausts_its_expansions(self):
+        # slope -1 everywhere: from 1e-60, 200 doublings end at a step of
+        # about 1.6, far below the step cap
+        with pytest.raises(LineSearchError, match="bracketing exhausted after 200 expansions"):
+            _search(lambda t: -t, lambda t: -1.0, initial_step=1e-60)
+
     def test_nan_trial_fails_sufficient_decrease(self):
         # dphi = 0 meets the curvature condition at every t > 0, so only the
         # sufficient-decrease test can turn the NaN trials away

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expen as ep
+import expen.verify
 from expen.exceptions import DimensionError, FeasibilityError, NotStationaryError, NumericalError
 
 from helpers import stiefel
@@ -375,6 +376,15 @@ class TestSpectrumCorrespondence:
         with pytest.raises(NotStationaryError):
             ep.spectrum_correspondence(model, obj, stiefel(6, 2, seed=22))
 
+    def test_nan_gradient_is_not_stationary(self):
+        # a NaN Riemannian gradient norm is no proof of stationarity; let
+        # through, it reaches eigvalsh, which does not converge
+        obj = ep.brockett_make(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([2.0, 1.0]))
+        model = ep.ExPenModel(objective=obj, beta=100.0)
+        nan_grad = dataclasses.replace(obj, gradient=lambda X: np.full(X.shape, np.nan))
+        with pytest.raises(NotStationaryError, match="= nan"):
+            ep.spectrum_correspondence(model, nan_grad, np.eye(4, 2))
+
 
 class TestStrictSaddleCheck:
     @pytest.mark.parametrize("beta", [1.0, 10.0, 24.0])
@@ -386,6 +396,13 @@ class TestStrictSaddleCheck:
     def test_invalid_beta_raises(self):
         with pytest.raises(DimensionError):
             ep.strict_saddle_check(0.0)
+
+    def test_negative_control_fails(self, monkeypatch):
+        # a Hessian with no eigenvalue below -beta/24 is no strict saddle
+        monkeypatch.setattr(expen.verify, "assemble_hessian", lambda model, X: np.zeros((6, 6)))
+        rep = ep.strict_saddle_check(24.0)
+        assert not rep.passed
+        assert rep.max_rel_error == 24.0 / 25.0
 
 
 class TestInnerIdentityCheck:
