@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateProjectionError, DimensionError, FeasibilityError, NumericalError
-from .linalg import fnorm, sym
+from .exceptions import DegenerateProjectionError, FeasibilityError, NumericalError
+from .linalg import _check_tall, fnorm, sym
 
 __all__ = [
     "project_stiefel",
@@ -31,24 +31,21 @@ _FEAS_TOL = 1e-8
 
 
 def feasibility(X):
-    """Constraint violation ||X^T X - I_p||_F."""
-    X = np.asarray(X, dtype=float)
-    S = X.T @ X
-    return fnorm(S - np.eye(S.shape[0]))
+    """Constraint violation ||X^T X - I_p||_F; DimensionError unless X is n x p, n >= p >= 1."""
+    X = _check_tall(X, "feasibility")
+    return fnorm(X.T @ X - np.eye(X.shape[1]))
 
 
 def project_stiefel(X):
-    """Nearest column-orthonormal matrix, U V^T from the economic SVD of an n x p X, n >= p.
+    """Nearest column-orthonormal matrix, U V^T from the economic SVD of an n x p X.
 
-    Raises NumericalError when X has a non-finite entry or the SVD does not
-    converge, and DegenerateProjectionError when X is numerically rank deficient
-    (smallest singular value at most 1e-12 times the largest): the nearest
-    point is not unique there, and silently picking one would poison
-    downstream stationarity numbers.
+    Raises DimensionError unless n >= p >= 1, NumericalError when X has a
+    non-finite entry or the SVD does not converge, and DegenerateProjectionError
+    when X is numerically rank deficient (smallest singular value at most 1e-12
+    times the largest): the nearest point is not unique there, and silently
+    picking one would poison downstream stationarity numbers.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise DimensionError(f"project_stiefel expects n x p with n >= p, got shape {X.shape}")
+    X = _check_tall(X, "project_stiefel")
     if not np.isfinite(X).all():
         # an inf entry gives NaN singular values, which would pass the rank test below
         raise NumericalError(f"cannot project a {X.shape[0]}x{X.shape[1]} matrix with non-finite entries")
@@ -67,7 +64,7 @@ def project_stiefel(X):
 
 
 def _require_feasible(X, op):
-    X = np.asarray(X, dtype=float)
+    X = _check_tall(X, op)
     feas = feasibility(X)
     if not feas <= _FEAS_TOL:  # a NaN point fails too
         raise FeasibilityError(
@@ -77,14 +74,15 @@ def _require_feasible(X, op):
 
 
 def tangent_project(X, D):
-    """Orthogonal projection of D onto the tangent space at feasible X."""
+    """Orthogonal projection of D onto the tangent space at feasible X (DimensionError
+    unless X is n x p with n >= p >= 1, FeasibilityError if ||X^T X - I||_F > 1e-8)."""
     X = _require_feasible(X, "tangent_project")
     D = np.asarray(D, dtype=float)
     return D - X @ sym(X.T @ D)
 
 
 def riemannian_grad(obj, X):
-    """Riemannian gradient grad f(X) = grad_euclidean f(X) - X sym(X^T grad f(X))."""
+    """Riemannian gradient grad f(X) = grad_euclidean f(X) - X sym(X^T grad f(X)); raises as tangent_project."""
     X = _require_feasible(X, "riemannian_grad")
     G = np.asarray(obj.gradient(X), dtype=float)
     return G - X @ sym(X.T @ G)
@@ -129,7 +127,6 @@ def postprocess(model, X):
     beta large the decrease is nonnegative; for a constant objective it
     equals (beta/4) ||X^T X - I||_F^2 exactly.
     """
-    X = np.asarray(X, dtype=float)
     P = project_stiefel(X)
     decrease = model.value(X) - model.value(P)
     return P, decrease

@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves.
+"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves, Stiefel shape guard.
 
 Everything here is a pure function of its inputs. The one piece of state is
 the Cholesky factor a TridiagMatrix caches on its first solve; it is a pure
@@ -42,6 +42,20 @@ def inner(A, B):
 def fnorm(A):
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(A, dtype=float)))
+
+
+def _check_dims(n, p, name):
+    # the one statement of the Stiefel shape rule St(n, p): n >= p >= 1
+    if not (n >= p >= 1):
+        raise DimensionError(f"{name} needs n >= p >= 1, got n={n}, p={p}")
+
+
+def _check_tall(X, name):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionError(f"{name} expects an n x p matrix, got shape {X.shape}")
+    _check_dims(*X.shape, name)
+    return X
 
 
 class TridiagMatrix:

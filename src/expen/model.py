@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import CapabilityError, DimensionError, NumericalError
-from .linalg import fnorm, sym
+from .linalg import _check_dims, _check_tall, fnorm, sym
 
 __all__ = [
     "SmoothObjective",
@@ -65,8 +65,7 @@ class SmoothObjective:
     value_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        if not (self.n >= self.p >= 1):
-            raise DimensionError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
+        _check_dims(self.n, self.p, "SmoothObjective")
 
 
 def _check_point(X, n, p, name="X", stack=False):
@@ -75,13 +74,6 @@ def _check_point(X, n, p, name="X", stack=False):
         shapes = f"({n}, {p}) or (k, {n}, {p})" if stack else f"({n}, {p})"
         raise DimensionError(f"{name} must have shape {shapes}, got {X.shape}")
     return np.ascontiguousarray(X)
-
-
-def _check_tall(X, name):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise DimensionError(f"{name} expects n x p with n >= p, got {X.shape}")
-    return X
 
 
 def apen_map(X):

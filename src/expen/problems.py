@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .geometry import project_stiefel
-from .linalg import inner, laplacian_1d, sym, tridiag_solve
+from .linalg import _check_dims, _check_tall, inner, laplacian_1d, sym, tridiag_solve
 from .model import SmoothObjective
 
 __all__ = [
@@ -125,9 +125,7 @@ def constant_make(n, p, level=0.0):
 
 def linear_make(C):
     """Linear objective f(X) = <C, X>."""
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] < C.shape[1]:
-        raise DimensionError(f"C must be n x p with n >= p, got {C.shape}")
+    C = _check_tall(C, "linear_make")
     n, p = C.shape
     return SmoothObjective(
         n=n,
@@ -153,8 +151,7 @@ class RandomSpec:
     seed: int
 
     def __post_init__(self):
-        if not (self.n >= self.p >= 1):
-            raise DimensionError(f"need n >= p >= 1, got n={self.n}, p={self.p}")
+        _check_dims(self.n, self.p, "RandomSpec")
         if self.seed < 0:
             raise DimensionError(f"seed must be nonnegative, got {self.seed}")
 

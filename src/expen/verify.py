@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import DimensionError, NotStationaryError, NumericalError
 from .geometry import _require_feasible, tangent_project
 from .linalg import fnorm, inner, sym
-from .model import ExPenModel, apen_map, jx_apply, smoothed_grad
+from .model import ExPenModel, _check_point, apen_map, jx_apply, smoothed_grad
 from .problems import constant_make
 
 __all__ = [
@@ -69,11 +69,14 @@ def _worst(errors):
     return np.max(errors, initial=0.0)
 
 
-def _unit_directions(shape, samples, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        W = rng.standard_normal(shape)
-        yield W / fnorm(W)
+def _sampler(samples, seed):
+    if not samples >= 1:
+        raise DimensionError(f"samples must be >= 1, got {samples}")
+    return np.random.default_rng(seed)
+
+
+def _unit_directions(shape, rng, samples):
+    return (W / fnorm(W) for W in (rng.standard_normal(shape) for _ in range(samples)))
 
 
 def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5, name="fd_gradient"):
@@ -82,13 +85,13 @@ def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5,
     Along each of `samples` random unit directions W, the directional
     derivative (value(X + tW) - value(X - tW)) / 2t with t = 1e-6 (1 + ||X||_F)
     is compared to <gradient(X), W>; the report carries the worst relative
-    error.
+    error. samples >= 1, else DimensionError, as in every sampled check.
     """
-    X = np.asarray(X, dtype=float)
+    rng, X = _sampler(samples, seed), np.asarray(X, dtype=float)
     t = _FD_SCALE * (1.0 + fnorm(X))
     G = np.asarray(gradient(X), dtype=float)
     errors = []
-    for W in _unit_directions(X.shape, samples, seed):
+    for W in _unit_directions(X.shape, rng, samples):
         fd = (float(value(X + t * W)) - float(value(X - t * W))) / (2.0 * t)
         an = inner(G, W)
         errors.append(abs(fd - an) / (1.0 + abs(an)))
@@ -96,11 +99,11 @@ def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5,
 
 
 def fd_hessvec_check(gradient, hess_vec, X, samples=10, *, seed=0, tolerance=1e-4, name="fd_hessvec"):
-    """Compare a Hessian-vector oracle against central differences of the gradient."""
-    X = np.asarray(X, dtype=float)
+    """Compare a Hessian-vector oracle against central differences of the gradient, samples >= 1."""
+    rng, X = _sampler(samples, seed), np.asarray(X, dtype=float)
     t = _FD_SCALE * (1.0 + fnorm(X))
     errors = []
-    for W in _unit_directions(X.shape, samples, seed):
+    for W in _unit_directions(X.shape, rng, samples):
         fd = (np.asarray(gradient(X + t * W), dtype=float) - np.asarray(gradient(X - t * W), dtype=float)) / (2.0 * t)
         hv = np.asarray(hess_vec(X, W), dtype=float)
         errors.append(fnorm(fd - hv) / (1.0 + fnorm(hv)))
@@ -114,9 +117,9 @@ def assemble_hessian(model, X):
     matrix (row-major flattening), from one stacked hess_vec call per column
     c of X over its n directions e_i e_c^T. Guarded to np <= 2000; the raw
     assembly must already be symmetric to 1e-8 relative, and the symmetrized
-    matrix is returned.
+    matrix is returned. DimensionError unless X has the model's shape (n, p).
     """
-    X = np.asarray(X, dtype=float)
+    X = _check_point(X, model.n, model.p)
     n, p = X.shape
     dim = n * p
     if dim > 2000:
@@ -139,8 +142,8 @@ def tangent_basis(X):
     Closed form: the tangent space is {X Omega + X_perp K : Omega skew}, with
     X_perp the last n - p columns of a complete QR of X. In row-major vec the
     columns are kron(X, I_p) vec(e_i e_j^T - e_j e_i^T) / sqrt(2) for i < j,
-    then kron(X_perp, I_p); dim = np - p(p+1)/2. Raises FeasibilityError when
-    ||X^T X - I||_F > 1e-8.
+    then kron(X_perp, I_p); dim = np - p(p+1)/2. Raises DimensionError unless
+    X is n x p with n >= p >= 1, and FeasibilityError when ||X^T X - I||_F > 1e-8.
     """
     X = _require_feasible(X, "tangent_basis")
     n, p = X.shape
@@ -170,9 +173,10 @@ def spectrum_correspondence(model, obj, Xstar, *, tolerance=1e-6, name="spectrum
     and its eigenvalues mu, the penalty Hessian maps X S (S symmetric) to
     X (2 beta S - (3/2)(Sg S + S Sg)), whose eigenvalues are
     2 beta - (3/2)(mu_i + mu_j) for i <= j. The floor test therefore passes
-    iff 2 beta - 3 max(mu) exceeds the largest tangent eigenvalue.
+    iff 2 beta - 3 max(mu) exceeds the largest tangent eigenvalue. Raises
+    DimensionError unless Xstar has the objective's shape (n, p).
     """
-    Xstar = np.asarray(Xstar, dtype=float)
+    Xstar = _check_point(Xstar, obj.n, obj.p, "Xstar")
     n, p = Xstar.shape
     G = np.asarray(obj.gradient(Xstar), dtype=float)
     rg = fnorm(tangent_project(Xstar, G))
@@ -215,10 +219,7 @@ def strict_saddle_check(beta, *, tolerance=1e-10, name="strict_saddle"):
     model = ExPenModel(constant_make(n, p), beta)
     H = assemble_hessian(model, np.zeros((n, p)))
     lam_min = float(np.linalg.eigvalsh(H)[0])
-    err = abs(lam_min + beta) / (1.0 + beta)
-    if lam_min > -beta / 24.0:
-        err = max(err, (lam_min + beta / 24.0) / (1.0 + beta))
-    return _report(name, err, tolerance, n * p)
+    return _report(name, abs(lam_min + beta) / (1.0 + beta), tolerance, n * p)
 
 
 def inner_identity_check(obj, X, samples=50, *, seed=0, tolerance=1e-10, smoothed_grad_fn=None, name="inner_identity"):
@@ -227,16 +228,16 @@ def inner_identity_check(obj, X, samples=50, *, seed=0, tolerance=1e-10, smoothe
     For any X, with R = X^T X - I and G the objective gradient at the mapped
     point: <X R, grad g(X)> = -(3/2) <R^2, sym(X^T G)>, where g is the
     penalty-free smoothed objective. Evaluated at X and at `samples` - 1
-    random points of the same shape. The identity is beta-free, so the check
-    runs on the objective bundle directly; smoothed_grad_fn exists to inject
-    a corrupted gradient for negative controls.
+    random points of its shape (DimensionError unless X is the objective's
+    n x p and samples >= 1). The identity is beta-free, so the check runs on
+    the objective bundle directly; smoothed_grad_fn exists to inject a
+    corrupted gradient for negative controls.
     """
-    X = np.asarray(X, dtype=float)
+    rng, X = _sampler(samples, seed), _check_point(X, obj.n, obj.p)
     gfun = smoothed_grad_fn if smoothed_grad_fn is not None else smoothed_grad
-    rng = np.random.default_rng(seed)
     points = [X]
     scale = max(1.0, fnorm(X))
-    for _ in range(max(samples - 1, 0)):
+    for _ in range(samples - 1):
         points.append(rng.standard_normal(X.shape) * (scale / np.sqrt(X.size)))
     errors = []
     for Xi in points:
@@ -252,11 +253,10 @@ def selfadjoint_check(X, samples=50, *, seed=0, tolerance=1e-12, operator=None, 
     """Check self-adjointness of the smoothing-map Jacobian at X.
 
     |<J(W), Z> - <W, J(Z)>| normalized by ||W|| ||Z|| (1 + ||X||^2) over
-    random pairs; operator is injectable for negative controls.
+    `samples` >= 1 random pairs; operator is injectable for negative controls.
     """
-    X = np.asarray(X, dtype=float)
+    rng, X = _sampler(samples, seed), np.asarray(X, dtype=float)
     op = operator if operator is not None else jx_apply
-    rng = np.random.default_rng(seed)
     scale = 1.0 + fnorm(X) ** 2
     errors = []
     for _ in range(samples):

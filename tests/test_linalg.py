@@ -244,3 +244,36 @@ class TestTridiag:
 
     def test_not_positive_definite_is_numerical_error(self):
         assert issubclass(NotPositiveDefiniteError, NumericalError)
+
+
+# The public functions that take a point of St(n, p), each on a 3 x 2 problem
+# where it needs one. The first eight check the point with the tall-point guard
+# and name themselves in its message; the verify functions check it against the
+# model's or objective's (n, p).
+_OBJ = ep.constant_make(3, 2)
+_MODEL = ep.ExPenModel(_OBJ, 1.0)
+_POINT_ENTRY_POINTS = {
+    "feasibility": ep.feasibility,
+    "project_stiefel": ep.project_stiefel,
+    "tangent_project": lambda X: ep.tangent_project(X, X),
+    "riemannian_grad": lambda X: ep.riemannian_grad(_OBJ, X),
+    "tangent_basis": ep.tangent_basis,
+    "apen_map": ep.apen_map,
+    "jx_apply": lambda X: ep.jx_apply(X, X),
+    "linear_make": ep.linear_make,
+    "assemble_hessian": lambda X: ep.assemble_hessian(_MODEL, X),
+    "spectrum_correspondence": lambda X: ep.spectrum_correspondence(_MODEL, _OBJ, X),
+    "inner_identity_check": lambda X: ep.inner_identity_check(_OBJ, X),
+}
+_MALFORMED_POINTS = {"1d": (3,), "3d": (2, 3, 2), "wide": (2, 3), "n-by-0": (3, 0)}
+
+
+@pytest.mark.parametrize("shape", list(_MALFORMED_POINTS.values()), ids=list(_MALFORMED_POINTS))
+@pytest.mark.parametrize("entry", list(_POINT_ENTRY_POINTS))
+def test_malformed_point_raises_dimension_error(entry, shape):
+    # never an IndexError or an unpacking ValueError from deep inside the call
+    X = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+    with pytest.raises(DimensionError) as info:
+        _POINT_ENTRY_POINTS[entry](X)
+    if entry not in ("assemble_hessian", "spectrum_correspondence", "inner_identity_check"):
+        assert str(info.value).startswith(f"{entry} ")

@@ -128,10 +128,10 @@ def _nan_objective(n, p):
 # Each sampled check on an all-NaN oracle: max() over the samples would drop
 # every NaN error and report 0 and PASS.
 _NAN_CHECKS = {
-    "fd_gradient": lambda X: ep.fd_gradient_check(lambda Z: np.nan, _nan_oracle, X),
-    "fd_hessvec": lambda X: ep.fd_hessvec_check(_nan_oracle, _nan_oracle, X),
-    "inner_identity": lambda X: ep.inner_identity_check(_nan_objective(*X.shape), X),
-    "selfadjoint": lambda X: ep.selfadjoint_check(X, operator=_nan_oracle),
+    "fd_gradient": lambda X, **kw: ep.fd_gradient_check(lambda Z: np.nan, _nan_oracle, X, **kw),
+    "fd_hessvec": lambda X, **kw: ep.fd_hessvec_check(_nan_oracle, _nan_oracle, X, **kw),
+    "inner_identity": lambda X, **kw: ep.inner_identity_check(_nan_objective(*X.shape), X, **kw),
+    "selfadjoint": lambda X, **kw: ep.selfadjoint_check(X, operator=_nan_oracle, **kw),
 }
 
 
@@ -142,6 +142,15 @@ def test_nan_oracle_fails_the_check(check):
     assert np.isnan(rep.max_rel_error)
     assert not rep.passed
     assert "max_rel_error=nan" in rep.line() and "status=FAIL" in rep.line()
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("check", sorted(_NAN_CHECKS))
+def test_no_samples_is_rejected(check, samples):
+    # a check that draws no sample has tested nothing, however broken the oracle
+    X = np.random.default_rng(12).standard_normal((5, 2))
+    with pytest.raises(DimensionError, match=f"samples must be >= 1, got {samples}"):
+        _NAN_CHECKS[check](X, samples=samples)
 
 
 def _assemble_by_columns(model, X):
