@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .exceptions import DimensionError, ExPenError
+from .linalg import _check_int, _check_param
 from .model import ExPenModel, default_beta
 from .problems import RandomSpec, brockett_make, nleig_make, random_stiefel, random_symmetric
 from .solvers import SolverConfig, Termination, frcg_solve, gd_solve
@@ -50,8 +51,8 @@ def _cells(row):
 class RunSpec:
     """Validated benchmark request.
 
-    RandomSpec checks n, p and seed, and SolverConfig checks grad_tol and
-    max_iters and supplies their defaults.
+    RandomSpec checks n, p and seed, SolverConfig grad_tol and max_iters (and gives
+    their defaults); alpha, beta and repeats go through the guards their owners call.
     """
 
     problem: str
@@ -72,12 +73,11 @@ class RunSpec:
             raise DimensionError(f"unknown solver {self.solver!r}, expected one of {tuple(_SOLVERS)}")
         RandomSpec(self.n, self.p, self.seed)
         SolverConfig(self.grad_tol, self.max_iters)
-        if self.problem == "nleig" and not (0.0 <= self.alpha < math.inf):
-            raise DimensionError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        if self.repeats < 1:
-            raise DimensionError(f"repeats must be >= 1, got {self.repeats}")
-        if self.beta_override is not None and not (0.0 < self.beta_override < math.inf):
-            raise DimensionError(f"beta must be positive and finite, got {self.beta_override}")
+        if self.problem == "nleig":
+            _check_param(self.alpha, "alpha")
+        _check_int(self.repeats, 1, "repeats")
+        if self.beta_override is not None:
+            _check_param(self.beta_override, "beta", positive=True)
 
 
 @dataclass(frozen=True)

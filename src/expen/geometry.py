@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateProjectionError, FeasibilityError, NumericalError
-from .linalg import _check_tall, fnorm, sym
+from .linalg import _check_point, _check_tall, fnorm, sym
 
 __all__ = [
     "project_stiefel",
@@ -74,18 +74,17 @@ def _require_feasible(X, op):
 
 
 def tangent_project(X, D):
-    """Orthogonal projection of D onto the tangent space at feasible X (DimensionError
-    unless X is n x p with n >= p >= 1, FeasibilityError if ||X^T X - I||_F > 1e-8)."""
+    """Orthogonal projection of D, (n, p) or (k, n, p), onto the tangent space at feasible X (DimensionError
+    unless X is n x p with n >= p >= 1 and D has its shape, FeasibilityError if ||X^T X - I||_F > 1e-8)."""
     X = _require_feasible(X, "tangent_project")
-    D = np.asarray(D, dtype=float)
+    D = _check_point(D, *X.shape, "D", stack=True)
     return D - X @ sym(X.T @ D)
 
 
 def riemannian_grad(obj, X):
-    """Riemannian gradient grad f(X) = grad_euclidean f(X) - X sym(X^T grad f(X)); raises as tangent_project."""
+    """Riemannian gradient of f at feasible X, the tangent projection of grad f(X); raises as tangent_project."""
     X = _require_feasible(X, "riemannian_grad")
-    G = np.asarray(obj.gradient(X), dtype=float)
-    return G - X @ sym(X.T @ G)
+    return tangent_project(X, obj.gradient(X))
 
 
 def in_certificate_region(feasibility, grad_h_norm, beta):

@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves, Stiefel shape guard.
+"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves, Stiefel shape and point guards.
 
 Everything here is a pure function of its inputs. The one piece of state is
 the Cholesky factor a TridiagMatrix caches on its first solve; it is a pure
@@ -31,30 +31,49 @@ def sym(M):
 
 
 def inner(A, B):
-    """Frobenius inner product trace(A^T B)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    """Frobenius inner product trace(A^T B), summed in C order."""
+    A = np.ascontiguousarray(A, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError(f"inner product needs equal shapes, got {A.shape} and {B.shape}")
     return float(np.vdot(A, B))
 
 
 def fnorm(A):
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(A, dtype=float)))
+    """Frobenius norm, summed in C order."""
+    return float(np.linalg.norm(np.ascontiguousarray(A, dtype=float)))
+
+
+# One guard per rule on an integer, a shape, a point or a parameter, each test written not (...) so that NaN
+# fails it. The point readers return C-ordered float arrays, so no result depends on the caller's layout.
+def _check_int(x, low, name):
+    if not (isinstance(x, (int, np.integer)) and x >= low):
+        raise DimensionError(f"{name} must be an integer >= {low}, got {x}")
+
+
+def _check_param(x, name, positive=False):
+    if not (0.0 <= x < np.inf and (x > 0.0 or not positive)):
+        raise DimensionError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite, got {x}")
 
 
 def _check_dims(n, p, name):
-    # the one statement of the Stiefel shape rule St(n, p): n >= p >= 1
-    if not (n >= p >= 1):
-        raise DimensionError(f"{name} needs n >= p >= 1, got n={n}, p={p}")
+    if not (isinstance(n, (int, np.integer)) and isinstance(p, (int, np.integer)) and n >= p >= 1):
+        raise DimensionError(f"{name} needs integers n >= p >= 1, got n={n}, p={p}")
 
 
 def _check_tall(X, name):
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionError(f"{name} expects an n x p matrix, got shape {X.shape}")
     _check_dims(*X.shape, name)
+    return X
+
+
+def _check_point(X, n, p, name="X", stack=False):
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[-2:] != (n, p) or X.ndim > 2 + stack:
+        shapes = f"({n}, {p}) or (k, {n}, {p})" if stack else f"({n}, {p})"
+        raise DimensionError(f"{name} must have shape {shapes}, got {X.shape}")
     return X
 
 

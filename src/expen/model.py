@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import CapabilityError, DimensionError, NumericalError
-from .linalg import _check_dims, _check_tall, fnorm, sym
+from .linalg import _check_dims, _check_param, _check_point, _check_tall, fnorm, sym
 
 __all__ = [
     "SmoothObjective",
@@ -66,14 +66,6 @@ class SmoothObjective:
 
     def __post_init__(self):
         _check_dims(self.n, self.p, "SmoothObjective")
-
-
-def _check_point(X, n, p, name="X", stack=False):
-    X = np.asarray(X, dtype=float)
-    if X.shape[-2:] != (n, p) or X.ndim > 2 + stack:
-        shapes = f"({n}, {p}) or (k, {n}, {p})" if stack else f"({n}, {p})"
-        raise DimensionError(f"{name} must have shape {shapes}, got {X.shape}")
-    return np.ascontiguousarray(X)
 
 
 def apen_map(X):
@@ -133,8 +125,7 @@ class ExPenModel:
     def __post_init__(self):
         if not isinstance(self.objective, SmoothObjective):
             raise DimensionError("objective must be a SmoothObjective")
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise DimensionError(f"beta must be positive and finite, got {self.beta}")
+        _check_param(self.beta, "beta", positive=True)
 
     @property
     def n(self):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .geometry import project_stiefel
-from .linalg import _check_dims, _check_tall, inner, laplacian_1d, sym, tridiag_solve
+from .linalg import _check_dims, _check_int, _check_param, _check_tall, inner, laplacian_1d, sym, tridiag_solve
 from .model import SmoothObjective
 
 __all__ = [
@@ -52,8 +52,7 @@ def nleig_make(n, p, alpha=1.0):
         Nonnegative, finite coupling weight of the quartic term. The
         experiments leave it a free knob; 1.0 is the neutral default.
     """
-    if not (alpha >= 0.0 and np.isfinite(alpha)):
-        raise DimensionError(f"alpha must be nonnegative and finite, got {alpha}")
+    _check_param(alpha, "alpha")
     L = laplacian_1d(n)
 
     def solve(b):
@@ -152,8 +151,7 @@ class RandomSpec:
 
     def __post_init__(self):
         _check_dims(self.n, self.p, "RandomSpec")
-        if self.seed < 0:
-            raise DimensionError(f"seed must be nonnegative, got {self.seed}")
+        _check_int(self.seed, 0, "seed")
 
 
 def random_stiefel(spec):

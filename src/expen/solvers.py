@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateProjectionError, DimensionError, LineSearchError, NonDescentError, NumericalError
-from .geometry import feasibility, in_certificate_region, project_stiefel, tangent_project
-from .linalg import fnorm, inner
+from .geometry import feasibility, in_certificate_region, project_stiefel, riemannian_grad
+from .linalg import _check_int, _check_param, fnorm, inner
 
 __all__ = [
     "SolverConfig",
@@ -54,7 +54,7 @@ class SolverConfig:
 
     The solvers stop once ||grad h||_F <= grad_tol or after max_iters
     iterations, and keep one IterTrace row per iteration when trace_enabled.
-    grad_tol must be nonnegative and finite, max_iters at least 1.
+    grad_tol must be nonnegative and finite, max_iters an integer at least 1.
     """
 
     grad_tol: float = 1e-3
@@ -62,10 +62,8 @@ class SolverConfig:
     trace_enabled: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.grad_tol < math.inf):
-            raise DimensionError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
-        if not (self.max_iters >= 1):
-            raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_param(self.grad_tol, "grad_tol")
+        _check_int(self.max_iters, 1, "max_iters")
 
 
 @dataclass(frozen=True)
@@ -302,8 +300,7 @@ def _descent_loop(model, X0, config, direction, clock):
             termination = Termination.RANK_DEFICIENT
         P, fval, stationarity, feas = None, math.nan, math.nan, math.nan
     else:
-        fG = (obj.value(P), obj.gradient(P)) if obj.value_and_grad is None else obj.value_and_grad(P)
-        fval, stationarity, feas = float(fG[0]), fnorm(tangent_project(P, fG[1])), feasibility(P)
+        fval, stationarity, feas = float(obj.value(P)), fnorm(riemannian_grad(obj, P)), feasibility(P)
     raw_feas = fnorm(ev.R)
     certified = termination is Termination.GRAD_TOL and in_certificate_region(raw_feas, gnorm, model.beta)
     return SolverReport(

@@ -15,8 +15,8 @@ import numpy as np
 
 from .exceptions import DimensionError, NotStationaryError, NumericalError
 from .geometry import _require_feasible, tangent_project
-from .linalg import fnorm, inner, sym
-from .model import ExPenModel, _check_point, apen_map, jx_apply, smoothed_grad
+from .linalg import _check_point, fnorm, inner, sym
+from .model import ExPenModel, apen_map, jx_apply, smoothed_grad
 from .problems import constant_make
 
 __all__ = [
@@ -87,7 +87,7 @@ def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5,
     is compared to <gradient(X), W>; the report carries the worst relative
     error. samples >= 1, else DimensionError, as in every sampled check.
     """
-    rng, X = _sampler(samples, seed), np.asarray(X, dtype=float)
+    rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
     t = _FD_SCALE * (1.0 + fnorm(X))
     G = np.asarray(gradient(X), dtype=float)
     errors = []
@@ -100,7 +100,7 @@ def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5,
 
 def fd_hessvec_check(gradient, hess_vec, X, samples=10, *, seed=0, tolerance=1e-4, name="fd_hessvec"):
     """Compare a Hessian-vector oracle against central differences of the gradient, samples >= 1."""
-    rng, X = _sampler(samples, seed), np.asarray(X, dtype=float)
+    rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
     t = _FD_SCALE * (1.0 + fnorm(X))
     errors = []
     for W in _unit_directions(X.shape, rng, samples):
@@ -255,7 +255,7 @@ def selfadjoint_check(X, samples=50, *, seed=0, tolerance=1e-12, operator=None, 
     |<J(W), Z> - <W, J(Z)>| normalized by ||W|| ||Z|| (1 + ||X||^2) over
     `samples` >= 1 random pairs; operator is injectable for negative controls.
     """
-    rng, X = _sampler(samples, seed), np.asarray(X, dtype=float)
+    rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
     op = operator if operator is not None else jx_apply
     scale = 1.0 + fnorm(X) ** 2
     errors = []

@@ -46,6 +46,8 @@ class TestRunSpec:
             {"beta_override": float("inf")},
             {"problem": "nleig", "alpha": float("inf")},
             {"grad_tol": float("inf")},
+            {"repeats": float("nan")},
+            {"repeats": 2.5},
         ],
     )
     def test_invalid_spec_rejected(self, overrides):

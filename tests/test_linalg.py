@@ -266,14 +266,20 @@ _POINT_ENTRY_POINTS = {
     "inner_identity_check": lambda X: ep.inner_identity_check(_OBJ, X),
 }
 _MALFORMED_POINTS = {"1d": (3,), "3d": (2, 3, 2), "wide": (2, 3), "n-by-0": (3, 0)}
+# tangent_project's direction D at a feasible 3 x 2 X, where a stack (k, 3, 2) is well formed
+_MALFORMED_DIRECTIONS = {"1d": (3,), "n-1-by-p": (2, 2)}
+_MALFORMED_CASES = {
+    f"{entry}-{name}": (entry, shape) for entry in _POINT_ENTRY_POINTS for name, shape in _MALFORMED_POINTS.items()
+}
+_MALFORMED_CASES.update({f"tangent_project-D-{name}": ("D", shape) for name, shape in _MALFORMED_DIRECTIONS.items()})
 
 
-@pytest.mark.parametrize("shape", list(_MALFORMED_POINTS.values()), ids=list(_MALFORMED_POINTS))
-@pytest.mark.parametrize("entry", list(_POINT_ENTRY_POINTS))
+@pytest.mark.parametrize("entry, shape", list(_MALFORMED_CASES.values()), ids=list(_MALFORMED_CASES))
 def test_malformed_point_raises_dimension_error(entry, shape):
     # never an IndexError or an unpacking ValueError from deep inside the call
     X = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+    call = (lambda D: ep.tangent_project(np.eye(3, 2), D)) if entry == "D" else _POINT_ENTRY_POINTS[entry]
     with pytest.raises(DimensionError) as info:
-        _POINT_ENTRY_POINTS[entry](X)
+        call(X)
     if entry not in ("assemble_hessian", "spectrum_correspondence", "inner_identity_check"):
         assert str(info.value).startswith(f"{entry} ")

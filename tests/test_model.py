@@ -696,6 +696,44 @@ def test_oracles_do_not_depend_on_memory_layout(case, n, p, layout):
     assert same_bits(model.at(Xl).grad(), fresh.grad())
 
 
+# The other public functions that take a point or a direction, and the Frobenius
+# norm and inner product that reduce them, as (X, Q, D) -> result with X near
+# the manifold, Q on it and D a direction.
+_POINT_FUNCTIONS = {
+    "apen_map": lambda X, Q, D: ep.apen_map(X),
+    "jx_apply": lambda X, Q, D: ep.jx_apply(X, D),
+    "feasibility": lambda X, Q, D: ep.feasibility(X),
+    "project_stiefel": lambda X, Q, D: ep.project_stiefel(X),
+    "tangent_project": lambda X, Q, D: ep.tangent_project(Q, D),
+    "riemannian_grad": lambda X, Q, D: ep.riemannian_grad(ep.nleig_make(*Q.shape), Q),
+    "tangent_basis": lambda X, Q, D: ep.tangent_basis(Q),
+    "fnorm": lambda X, Q, D: ep.fnorm(X),
+    "inner": lambda X, Q, D: ep.inner(X, D),
+    "selfadjoint_check": lambda X, Q, D: ep.selfadjoint_check(X, samples=2).max_rel_error,
+    "fd_gradient_check": lambda X, Q, D: _nleig_fd_gradient_error(X),
+}
+
+
+def _nleig_fd_gradient_error(X):
+    # the objective's own oracles, which fd_gradient_check hands C-ordered points only
+    obj = ep.nleig_make(*X.shape)
+    return ep.fd_gradient_check(obj.value, obj.gradient, X, samples=2).max_rel_error
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize(
+    "function, n, p",
+    [(f, n, p) for f in _POINT_FUNCTIONS if f != "tangent_basis" for n, p in ((250, 50), (4000, 3))]
+    + [("tangent_basis", 30, 4)],
+)
+def test_point_functions_do_not_depend_on_memory_layout(function, n, p, layout):
+    # every argument F-ordered or strided gets the bits of its C-ordered copy
+    args = (near_stiefel(n, p, seed=n), stiefel(n, p, seed=p), np.random.default_rng(p).standard_normal((n, p)))
+    laid_out = [_LAYOUTS[layout](M) for M in args]
+    assert all(not M.flags.c_contiguous and np.array_equal(M, A) for M, A in zip(laid_out, args))
+    assert same_bits(_POINT_FUNCTIONS[function](*laid_out), _POINT_FUNCTIONS[function](*args))
+
+
 @st.composite
 def _call_sequences(draw):
     """A model on an objective with a fused oracle (nleig, Brockett) or

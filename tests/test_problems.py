@@ -320,3 +320,7 @@ class TestRandomStiefel:
             ep.RandomSpec(n=2, p=3, seed=0)
         with pytest.raises(DimensionError):
             ep.RandomSpec(n=3, p=0, seed=0)
+        with pytest.raises(DimensionError):
+            ep.RandomSpec(n=10, p=2, seed=float("nan"))
+        with pytest.raises(DimensionError):
+            ep.RandomSpec(n=10.5, p=2, seed=0)

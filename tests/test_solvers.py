@@ -12,7 +12,7 @@ import expen.solvers
 from expen.exceptions import DimensionError, LineSearchError, NonDescentError
 from expen.solvers import _DELTA, _SIGMA
 
-from helpers import CountingClock, near_stiefel, stiefel
+from helpers import CountingClock, near_stiefel, same_bits, stiefel
 
 
 class TestSolverConfig:
@@ -30,6 +30,7 @@ class TestSolverConfig:
             {"grad_tol": -1.0},
             {"max_iters": 0},
             {"grad_tol": float("inf")},
+            {"max_iters": 2.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -354,6 +355,8 @@ class TestFrcgSolve:
         report = ep.frcg_solve(model, stiefel(12, 4, seed=1), cfg)
         assert report.termination is ep.Termination.GRAD_TOL
         assert report.raw_grad_h_norm <= 1e-5
+        # scored on the path stationarity_report takes, bit for bit
+        assert same_bits(report.stationarity, ep.stationarity_report(model, report.raw_point).projected_riem_grad_norm)
         hs = [row.h_val for row in report.trace]
         assert all(a >= b - 1e-12 * (1.0 + abs(a)) for a, b in zip(hs, hs[1:]))
 
@@ -563,6 +566,7 @@ class TestGdSolve:
         h0 = model.value(X0)
         report = ep.gd_solve(model, X0, ep.SolverConfig(grad_tol=1e-4, max_iters=4000))
         assert model.value(report.raw_point) <= h0 + 1e-12 * (1.0 + abs(h0))
+        assert same_bits(report.stationarity, ep.stationarity_report(model, report.raw_point).projected_riem_grad_norm)
 
     def test_regression_small_instance_reaches_tolerance(self):
         # Documented desk-scale regression: n=50, p=5, seed 0.
