@@ -42,7 +42,9 @@ class SmoothObjective:
     Parameters
     ----------
     n, p : int
-        Matrix dimensions, n >= p >= 1.
+        Matrix dimensions, n >= p >= 1. Every oracle of a built-in objective
+        reads X, and D, in C order through linalg's point reader, and raises
+        DimensionError on a shape other than the ones named below.
     value : callable
         X -> float.
     gradient : callable

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .geometry import project_stiefel
-from .linalg import _check_dims, _check_int, _check_param, _check_tall, inner, laplacian_1d, sym, tridiag_solve
+from .linalg import _check_dims, _check_int, _check_param, _check_point, _check_tall, inner, laplacian_1d, sym, tridiag_solve
 from .model import SmoothObjective
 
 __all__ = [
@@ -68,14 +68,14 @@ def nleig_make(n, p, alpha=1.0):
         return HM
 
     def value_and_grad(X):
-        X = np.asarray(X)
+        X = _check_point(X, n, p)
         rho = np.einsum("ij,ij->i", X, X)
         z = solve(rho)
         HX = hamiltonian(z, X)
         return 0.5 * inner(X, HX) - 0.25 * alpha * float(rho @ z), HX
 
     def hess_vec(X, D):
-        D = np.asarray(D, dtype=float)
+        X, D = _check_point(X, n, p), _check_point(D, n, p, "D", stack=True)
         z = solve(np.einsum("ij,ij->i", X, X))
         # diag(X D^T + D X^T) = 2 * rowwise dot of X and D, one solve for the stack
         v = 2.0 * np.einsum("ij,...ij->...i", X, D)
@@ -99,40 +99,41 @@ def _symmetric(M, name):
 def brockett_make(B, C):
     """Brockett trace objective f(X) = (1/2) tr(X^T B X C) for symmetric B, C."""
     B, C = _symmetric(B, "B"), _symmetric(C, "C")
+    n, p = B.shape[0], C.shape[0]
 
     def value_and_grad(X):
+        X = _check_point(X, n, p)
         G = B @ X @ C
         return 0.5 * inner(X, G), G
 
+    def hess_vec(X, D):
+        _check_point(X, n, p)
+        return B @ _check_point(D, n, p, "D", stack=True) @ C
+
     value = lambda X: value_and_grad(X)[0]
-    gradient = lambda X: B @ X @ C
-    hess_vec = lambda X, D: B @ D @ C
-    return SmoothObjective(B.shape[0], C.shape[0], value, gradient, hess_vec, value_and_grad)
+    gradient = lambda X: value_and_grad(X)[1]
+    return SmoothObjective(n, p, value, gradient, hess_vec, value_and_grad)
+
+
+def _hessian_free(n, p, value, gradient):
+    # an objective with zero Hessian; each oracle reads X, and D, as a point of shape (n, p)
+    def hess_vec(X, D):
+        _check_point(X, n, p)
+        return np.zeros(_check_point(D, n, p, "D", stack=True).shape)
+
+    read = lambda X: _check_point(X, n, p)
+    return SmoothObjective(n, p, lambda X: value(read(X)), lambda X: gradient(read(X)), hess_vec)
 
 
 def constant_make(n, p, level=0.0):
     """Constant objective: value level, zero gradient and Hessian."""
-    zero = lambda X: np.zeros((n, p))
-    return SmoothObjective(
-        n=n,
-        p=p,
-        value=lambda X: float(level),
-        gradient=zero,
-        hess_vec=lambda X, D: np.zeros(np.shape(D)),
-    )
+    return _hessian_free(n, p, lambda X: float(level), lambda X: np.zeros((n, p)))
 
 
 def linear_make(C):
     """Linear objective f(X) = <C, X>."""
     C = _check_tall(C, "linear_make")
-    n, p = C.shape
-    return SmoothObjective(
-        n=n,
-        p=p,
-        value=lambda X: inner(C, X),
-        gradient=lambda X: C.copy(),
-        hess_vec=lambda X, D: np.zeros(np.shape(D)),
-    )
+    return _hessian_free(*C.shape, lambda X: inner(C, X), lambda X: C.copy())
 
 
 def random_symmetric(n, seed):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DimensionError, NotStationaryError, NumericalError
 from .geometry import _require_feasible, tangent_project
-from .linalg import _check_point, fnorm, inner, sym
+from .linalg import _check_int, _check_point, fnorm, inner, sym
 from .model import ExPenModel, apen_map, jx_apply, smoothed_grad
 from .problems import constant_make
 
@@ -70,8 +70,7 @@ def _worst(errors):
 
 
 def _sampler(samples, seed):
-    if not samples >= 1:
-        raise DimensionError(f"samples must be >= 1, got {samples}")
+    _check_int(samples, 1, "samples")
     return np.random.default_rng(seed)
 
 
@@ -85,7 +84,7 @@ def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5,
     Along each of `samples` random unit directions W, the directional
     derivative (value(X + tW) - value(X - tW)) / 2t with t = 1e-6 (1 + ||X||_F)
     is compared to <gradient(X), W>; the report carries the worst relative
-    error. samples >= 1, else DimensionError, as in every sampled check.
+    error. samples is an integer >= 1, else DimensionError, as in every sampled check.
     """
     rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
     t = _FD_SCALE * (1.0 + fnorm(X))

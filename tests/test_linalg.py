@@ -272,14 +272,27 @@ _MALFORMED_CASES = {
     f"{entry}-{name}": (entry, shape) for entry in _POINT_ENTRY_POINTS for name, shape in _MALFORMED_POINTS.items()
 }
 _MALFORMED_CASES.update({f"tangent_project-D-{name}": ("D", shape) for name, shape in _MALFORMED_DIRECTIONS.items()})
+# Objective oracles read X, and D, as points of their own (n, p) and name the shape they got
+_ORACLES = {
+    "nleig.value": ep.nleig_make(3, 2).value,
+    "brockett.gradient": ep.brockett_make(np.eye(3), np.eye(2)).gradient,
+    "constant_make.hess_vec": lambda D: ep.constant_make(4, 2).hess_vec(np.eye(4, 2), D),
+}
+_MALFORMED_CASES.update({
+    "nleig.value-1d": ("nleig.value", (3,)),
+    "brockett.gradient-n-1-by-p": ("brockett.gradient", (2, 2)),
+    "constant_make.hess_vec-D-3-by-3": ("constant_make.hess_vec", (3, 3)),
+})
 
 
 @pytest.mark.parametrize("entry, shape", list(_MALFORMED_CASES.values()), ids=list(_MALFORMED_CASES))
 def test_malformed_point_raises_dimension_error(entry, shape):
     # never an IndexError or an unpacking ValueError from deep inside the call
     X = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
-    call = (lambda D: ep.tangent_project(np.eye(3, 2), D)) if entry == "D" else _POINT_ENTRY_POINTS[entry]
+    call = (lambda D: ep.tangent_project(np.eye(3, 2), D)) if entry == "D" else {**_POINT_ENTRY_POINTS, **_ORACLES}[entry]
     with pytest.raises(DimensionError) as info:
         call(X)
-    if entry not in ("assemble_hessian", "spectrum_correspondence", "inner_identity_check"):
+    if entry in _ORACLES:
+        assert f"got {shape}" in str(info.value)
+    elif entry not in ("assemble_hessian", "spectrum_correspondence", "inner_identity_check"):
         assert str(info.value).startswith(f"{entry} ")

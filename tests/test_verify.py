@@ -144,12 +144,12 @@ def test_nan_oracle_fails_the_check(check):
     assert "max_rel_error=nan" in rep.line() and "status=FAIL" in rep.line()
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 2.5])
 @pytest.mark.parametrize("check", sorted(_NAN_CHECKS))
 def test_no_samples_is_rejected(check, samples):
-    # a check that draws no sample has tested nothing, however broken the oracle
+    # a check that draws no sample has tested nothing, however broken the oracle, and a count is an integer
     X = np.random.default_rng(12).standard_normal((5, 2))
-    with pytest.raises(DimensionError, match=f"samples must be >= 1, got {samples}"):
+    with pytest.raises(DimensionError, match=f"samples must be an integer >= 1, got {samples}"):
         _NAN_CHECKS[check](X, samples=samples)
 
 
