@@ -102,7 +102,6 @@ class BenchResult:
     row: TableRow
     f_ref: float
     betas: tuple
-    terminations: tuple
     reports: tuple
     traces: Optional[tuple]
 
@@ -157,7 +156,6 @@ def run_benchmark(spec, *, trace=False, clock=time.perf_counter):
         row=row,
         f_ref=f_ref,
         betas=tuple(betas),
-        terminations=tuple(rep.termination.value for rep in reports),
         reports=tuple(reports),
         traces=traces,
     )
@@ -270,7 +268,7 @@ def main(argv=None):
         "spec": asdict(spec),
         "f_ref": result.f_ref,
         "betas": list(result.betas),
-        "terminations": list(result.terminations),
+        "terminations": [rep.termination.value for rep in result.reports],
         "certified": [rep.certified for rep in result.reports],
         "termination_detail": [rep.termination_detail for rep in result.reports],
     }

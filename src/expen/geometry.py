@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateProjectionError, FeasibilityError, NumericalError
-from .linalg import _check_point, _check_tall, fnorm, sym
+from .linalg import _check_param, _check_point, _check_tall, fnorm, sym
 
 __all__ = [
     "project_stiefel",
@@ -90,7 +90,8 @@ def riemannian_grad(obj, X):
 def in_certificate_region(feasibility, grad_h_norm, beta):
     """Whether ||X^T X - I||_F <= 1/6 and <= (4/beta) ||grad h(X)||_F + 1e-12, the
     region where the projected point's Riemannian gradient norm is at most
-    2 ||grad h(X)||_F (tested as perfbench/checks.py tests it)."""
+    2 ||grad h(X)||_F (tested as perfbench/checks.py tests it); beta is positive and finite."""
+    _check_param(beta, "beta", positive=True)
     return feasibility <= 1.0 / 6.0 and feasibility <= 4.0 / beta * grad_h_norm + 1e-12
 
 

@@ -1,11 +1,13 @@
-"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves, Stiefel shape and point guards.
+"""Dense linear-algebra substrate: symmetrization, inner products, tridiagonal solves, and the package's input guards.
 
 Everything here is a pure function of its inputs. The one piece of state is
-the Cholesky factor a TridiagMatrix caches on its first solve; it is a pure
-function of the matrix, whose entries are read-only.
+the Cholesky factor a TridiagMatrix caches (a cached_property) on its first
+successful solve; it is a pure function of the matrix, whose entries are read-only.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -101,7 +103,6 @@ class TridiagMatrix:
         self.n = diag.shape[0]
         self.diag = diag
         self.sub = sub
-        self._factor = None  # LAPACK ?pttrf output (d, e), set by the first solve
 
     def matvec(self, v):
         """Apply the matrix to a vector (n,), or along axis -2 of a block (..., n, k).
@@ -118,31 +119,28 @@ class TridiagMatrix:
         w[..., 1:, :] += self.sub[:, None] * u[..., :-1, :]
         return w.reshape(v.shape)
 
-    def _cholesky(self):
-        # A failed factorization is never cached, so every solve with an
-        # indefinite matrix raises. SciPy's ?pttrf wrapper rejects an empty
-        # subdiagonal; a 1x1 matrix is its own factor.
-        factor = self._factor
-        if factor is None:
-            if not (np.isfinite(self.diag).all() and np.isfinite(self.sub).all()):
-                raise ValueError("array must not contain infs or NaNs")
-            if self.n == 1:
-                d, e, info = self.diag, self.sub, int(self.diag[0] <= 0.0)
-            else:
-                d, e, info = dpttrf(self.diag, self.sub)
-            if info != 0:
-                raise NotPositiveDefiniteError(
-                    "banded Cholesky failed; the matrix is not positive definite"
-                )
-            factor = self._factor = (d, e)
-        return factor
+    @cached_property
+    def _factor(self):
+        # LAPACK ?pttrf's (d, e). A body that raises stores nothing, so every
+        # solve with an indefinite matrix raises. SciPy's ?pttrf wrapper
+        # rejects an empty subdiagonal; a 1x1 matrix is its own factor.
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.sub).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        if self.n == 1:
+            d, e, info = self.diag, self.sub, int(self.diag[0] <= 0.0)
+        else:
+            d, e, info = dpttrf(self.diag, self.sub)
+        if info != 0:
+            raise NotPositiveDefiniteError(
+                "banded Cholesky failed; the matrix is not positive definite"
+            )
+        return d, e
 
 
 def laplacian_1d(n):
-    """The n x n stencil with 2 on the diagonal and -1 off it (positive definite)."""
-    if n < 1:
-        raise DimensionError("laplacian_1d needs n >= 1")
-    return TridiagMatrix(np.full(n, 2.0), np.full(max(n - 1, 0), -1.0))
+    """The n x n stencil with 2 on the diagonal and -1 off it (positive definite); n is an integer >= 1."""
+    _check_int(n, 1, "n")
+    return TridiagMatrix(np.full(n, 2.0), np.full(n - 1, -1.0))
 
 
 def tridiag_solve(T, rhs):
@@ -161,6 +159,6 @@ def tridiag_solve(T, rhs):
         raise DimensionError(f"rhs has shape {rhs.shape}, expected ({T.n},) or ({T.n}, k)")
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    d, e = T._cholesky()
+    d, e = T._factor
     # SciPy's ?pttrs wrapper rejects an empty subdiagonal too
     return rhs / d[0] if T.n == 1 else dpttrs(d, e, rhs)[0]

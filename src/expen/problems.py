@@ -137,9 +137,9 @@ def linear_make(C):
 
 
 def random_symmetric(n, seed):
-    """Symmetrized standard-normal n x n matrix, O(1) entries, seed-deterministic."""
-    rng = np.random.default_rng(seed)
-    return sym(rng.standard_normal((n, n)))
+    """Symmetrized standard-normal n x n matrix, O(1) entries, seed-deterministic; n is an integer >= 1."""
+    _check_int(n, 1, "n")
+    return sym(np.random.default_rng(seed).standard_normal((n, n)))
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,11 @@ __all__ = [
 # The line search: _DELTA and _SIGMA are the sufficient-decrease and curvature
 # constants of the strong Wolfe conditions (0 < _DELTA <= _SIGMA <= 1/2), and
 # trial steps beyond _STEP_CAP or more than _MAX_ZOOM interval refinements
-# mean the search failed.
+# mean the search failed; bracketing doubles the step, so the cap bounds it.
 _DELTA = 1e-4
 _SIGMA = 0.4
 _STEP_CAP = 1e10
 _MAX_ZOOM = 60
-_MAX_EXPANSIONS = 200
 
 # Warm-start clamp for the first trial step of each iteration.
 _TRIAL_MIN = 1e-12
@@ -146,7 +145,7 @@ def strong_wolfe(f0, d0, line, initial_step=1.0):
     too short to split returns the trial at its lower end, if that lies
     beyond the start and below f0. Raises DimensionError when initial_step
     is not positive, NonDescentError unless d0 < 0, LineSearchError when the
-    trial step exceeds 1e10, bracketing exhausts 200 expansions, the
+    trial step exceeds 1e10 (the one bound on bracketing's doublings), the
     interval collapses otherwise, or refinement exhausts its budget. A trial
     whose h is NaN fails the sufficient-decrease condition.
     """
@@ -177,11 +176,11 @@ def strong_wolfe(f0, d0, line, initial_step=1.0):
 
     prev = SimpleNamespace(t=0.0, h=f0)  # the start of the line
     t = initial_step
-    for expansion in range(_MAX_EXPANSIONS):
+    while True:
         if t > _STEP_CAP:
             raise LineSearchError(f"trial step {t:.3e} exceeded cap {_STEP_CAP:.0e}")
         trial = line(t)
-        if not trial.h <= f0 + _DELTA * t * d0 or (expansion > 0 and trial.h >= prev.h):
+        if not trial.h <= f0 + _DELTA * t * d0 or (prev.t > 0.0 and trial.h >= prev.h):
             return zoom(prev, t)
         dt = trial.slope()
         if abs(dt) <= -_SIGMA * d0:
@@ -190,7 +189,6 @@ def strong_wolfe(f0, d0, line, initial_step=1.0):
             return zoom(trial, prev.t)
         prev = trial
         t *= 2.0
-    raise LineSearchError(f"bracketing exhausted after {_MAX_EXPANSIONS} expansions")
 
 
 class _Trial:

@@ -78,6 +78,19 @@ def _unit_directions(shape, rng, samples):
     return (W / fnorm(W) for W in (rng.standard_normal(shape) for _ in range(samples)))
 
 
+def _fd_check(name, F, directional, X, samples, seed, tolerance):
+    # the one central-difference rule: along each sampled unit direction W, (F(X + tW) - F(X - tW)) / 2t with
+    # t = 1e-6 (1 + ||X||_F) against directional(W), error ||fd - an||_F / (1 + ||an||_F)
+    rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
+    t = _FD_SCALE * (1.0 + fnorm(X))
+    errors = []
+    for W in _unit_directions(X.shape, rng, samples):
+        fd = (np.asarray(F(X + t * W), dtype=float) - np.asarray(F(X - t * W), dtype=float)) / (2.0 * t)
+        an = np.asarray(directional(X, W), dtype=float)
+        errors.append(fnorm(fd - an) / (1.0 + fnorm(an)))
+    return _report(name, _worst(errors), tolerance, samples)
+
+
 def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5, name="fd_gradient"):
     """Compare a gradient oracle against central differences of the value oracle.
 
@@ -86,27 +99,13 @@ def fd_gradient_check(value, gradient, X, samples=10, *, seed=0, tolerance=1e-5,
     is compared to <gradient(X), W>; the report carries the worst relative
     error. samples is an integer >= 1, else DimensionError, as in every sampled check.
     """
-    rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
-    t = _FD_SCALE * (1.0 + fnorm(X))
-    G = np.asarray(gradient(X), dtype=float)
-    errors = []
-    for W in _unit_directions(X.shape, rng, samples):
-        fd = (float(value(X + t * W)) - float(value(X - t * W))) / (2.0 * t)
-        an = inner(G, W)
-        errors.append(abs(fd - an) / (1.0 + abs(an)))
-    return _report(name, _worst(errors), tolerance, samples)
+    G = np.asarray(gradient(np.ascontiguousarray(X, dtype=float)), dtype=float)
+    return _fd_check(name, value, lambda X, W: inner(G, W), X, samples, seed, tolerance)
 
 
 def fd_hessvec_check(gradient, hess_vec, X, samples=10, *, seed=0, tolerance=1e-4, name="fd_hessvec"):
     """Compare a Hessian-vector oracle against central differences of the gradient, samples >= 1."""
-    rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
-    t = _FD_SCALE * (1.0 + fnorm(X))
-    errors = []
-    for W in _unit_directions(X.shape, rng, samples):
-        fd = (np.asarray(gradient(X + t * W), dtype=float) - np.asarray(gradient(X - t * W), dtype=float)) / (2.0 * t)
-        hv = np.asarray(hess_vec(X, W), dtype=float)
-        errors.append(fnorm(fd - hv) / (1.0 + fnorm(hv)))
-    return _report(name, _worst(errors), tolerance, samples)
+    return _fd_check(name, gradient, hess_vec, X, samples, seed, tolerance)
 
 
 def assemble_hessian(model, X):
@@ -221,7 +220,7 @@ def strict_saddle_check(beta, *, tolerance=1e-10, name="strict_saddle"):
     return _report(name, abs(lam_min + beta) / (1.0 + beta), tolerance, n * p)
 
 
-def inner_identity_check(obj, X, samples=50, *, seed=0, tolerance=1e-10, smoothed_grad_fn=None, name="inner_identity"):
+def inner_identity_check(obj, X, samples=50, *, seed=0, tolerance=1e-10, smoothed_grad_fn=smoothed_grad, name="inner_identity"):
     """Two-sided evaluation of the penalty-free gradient identity.
 
     For any X, with R = X^T X - I and G the objective gradient at the mapped
@@ -233,7 +232,6 @@ def inner_identity_check(obj, X, samples=50, *, seed=0, tolerance=1e-10, smoothe
     corrupted gradient for negative controls.
     """
     rng, X = _sampler(samples, seed), _check_point(X, obj.n, obj.p)
-    gfun = smoothed_grad_fn if smoothed_grad_fn is not None else smoothed_grad
     points = [X]
     scale = max(1.0, fnorm(X))
     for _ in range(samples - 1):
@@ -242,25 +240,24 @@ def inner_identity_check(obj, X, samples=50, *, seed=0, tolerance=1e-10, smoothe
     for Xi in points:
         R = Xi.T @ Xi - np.eye(Xi.shape[1])
         G = np.asarray(obj.gradient(apen_map(Xi)), dtype=float)
-        lhs = inner(Xi @ R, gfun(obj, Xi))
+        lhs = inner(Xi @ R, smoothed_grad_fn(obj, Xi))
         rhs = -1.5 * inner(R @ R, sym(Xi.T @ G))
         errors.append(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
     return _report(name, _worst(errors), tolerance, len(points))
 
 
-def selfadjoint_check(X, samples=50, *, seed=0, tolerance=1e-12, operator=None, name="selfadjoint"):
+def selfadjoint_check(X, samples=50, *, seed=0, tolerance=1e-12, operator=jx_apply, name="selfadjoint"):
     """Check self-adjointness of the smoothing-map Jacobian at X.
 
     |<J(W), Z> - <W, J(Z)>| normalized by ||W|| ||Z|| (1 + ||X||^2) over
     `samples` >= 1 random pairs; operator is injectable for negative controls.
     """
     rng, X = _sampler(samples, seed), np.ascontiguousarray(X, dtype=float)
-    op = operator if operator is not None else jx_apply
     scale = 1.0 + fnorm(X) ** 2
     errors = []
     for _ in range(samples):
         W = rng.standard_normal(X.shape)
         Z = rng.standard_normal(X.shape)
-        err = abs(inner(op(X, W), Z) - inner(W, op(X, Z)))
+        err = abs(inner(operator(X, W), Z) - inner(W, operator(X, Z)))
         errors.append(err / (fnorm(W) * fnorm(Z) * scale))
     return _report(name, _worst(errors), tolerance, samples)

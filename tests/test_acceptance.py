@@ -197,7 +197,8 @@ def test_criterion_7_benchmark_protocol(benchmark_run, tmp_path):
     spec, result, elapsed = benchmark_run
     reports = result.reports
 
-    converged = all(t == "GradTol" for t in result.terminations)
+    terminations = [rep.termination.value for rep in reports]
+    converged = all(t == "GradTol" for t in terminations)
     stat_ok = all(rep.stationarity <= 1e-3 for rep in reports)
     feas_ok = all(rep.feasibility <= 1e-12 for rep in reports)
     iter_ok = all(rep.iterations <= 10000 for rep in reports)
@@ -233,7 +234,7 @@ def test_criterion_7_benchmark_protocol(benchmark_run, tmp_path):
         f"fval {result.row.fval:.6f} vs 2810.709 (rel gap {gap:.2e}, not required); "
         f"{elapsed:.1f}s",
     )
-    assert converged, result.terminations
+    assert converged, terminations
     assert stat_ok and feas_ok and iter_ok
     assert monotone
     assert schema_ok and trace_header_ok

@@ -237,6 +237,12 @@ class TestStationarityReport:
         assert not ep.in_certificate_region(np.nan, 1.0, beta)
         assert not ep.in_certificate_region(0.1, np.nan, beta)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+    def test_region_needs_a_positive_finite_beta(self, beta):
+        # beta = 0 used to divide by zero, and beta < 0 to answer False
+        with pytest.raises(DimensionError, match=f"beta must be positive and finite, got {beta}"):
+            ep.in_certificate_region(0.1, 1.0, beta)
+
     @pytest.mark.parametrize("seed", range(15))
     def test_feasibility_bounded_by_grad_norm_at_large_beta(self, seed):
         obj = ep.nleig_make(6, 2, alpha=1.0)

@@ -192,12 +192,33 @@ class TestTridiag:
             lambda: ep.TridiagMatrix(diag=np.ones(0), sub=np.ones(0)),
             lambda: ep.laplacian_1d(0),
             lambda: ep.tridiag_solve(dense(ep.laplacian_1d(3)), np.ones(3)),
+            # a size n that is not an integer >= 1: not NumPy's TypeError or ValueError, nor a 0 x 0 matrix
+            lambda: ep.laplacian_1d(2.5),
+            lambda: ep.nleig_make(2.5, 1),
+            lambda: ep.random_symmetric(2.5, 0),
+            lambda: ep.random_symmetric(-1, 0),
+            lambda: ep.random_symmetric(0, 0),
         ],
-        ids=["diag-2d", "empty", "laplacian-0", "dense-matrix"],
+        ids=["diag-2d", "empty", "laplacian-0", "dense-matrix", "laplacian-2.5", "nleig-2.5",
+             "random_symmetric-2.5", "random_symmetric--1", "random_symmetric-0"],
     )
     def test_malformed_matrix_raises(self, call):
         with pytest.raises(DimensionError):
             call()
+
+    def test_factor_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_dpttrf(d, e):
+            calls.append(d.size)
+            return scipy.linalg.lapack.dpttrf(d, e)
+
+        monkeypatch.setattr("expen.linalg.dpttrf", counting_dpttrf)
+        T = ep.laplacian_1d(6)
+        rng = np.random.default_rng(4)
+        for rhs in (rng.standard_normal(6), rng.standard_normal((6, 3)), np.zeros(6)):
+            assert_allclose(T.matvec(ep.tridiag_solve(T, rhs)), rhs, atol=1e-13)
+        assert calls == [6]
 
     @pytest.mark.parametrize("n", [2, 250, 4000])
     def test_bit_identical_to_solveh_banded(self, n):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import expen as ep
 import expen.solvers
 from expen.exceptions import DimensionError, LineSearchError, NonDescentError
-from expen.solvers import _DELTA, _SIGMA
+from expen.solvers import _DELTA, _SIGMA, _STEP_CAP, _TRIAL_MAX, _TRIAL_MIN
 
 from helpers import CountingClock, near_stiefel, same_bits, stiefel
 
@@ -85,11 +85,24 @@ class TestStrongWolfe:
             _search(phi, lambda t: float("nan"))
         assert trials == [0.0]  # the start only: no trial along the line
 
-    def test_bracketing_exhausts_its_expansions(self):
-        # slope -1 everywhere: from 1e-60, 200 doublings end at a step of
-        # about 1.6, far below the step cap
-        with pytest.raises(LineSearchError, match="bracketing exhausted after 200 expansions"):
-            _search(lambda t: -t, lambda t: -1.0, initial_step=1e-60)
+    @pytest.mark.parametrize(
+        "initial_step, trials",
+        [(1e-60, 233), (_TRIAL_MIN, 74), (1.0, 34), (_TRIAL_MAX, 14)],
+    )
+    def test_step_cap_is_the_one_bound_on_bracketing(self, initial_step, trials):
+        # slope -1 everywhere, so bracketing doubles until the step passes the
+        # cap; from anywhere in the solvers' warm-start range [1e-12, 1e6]
+        # that takes at most 74 trials, and even from 1e-60 only 233
+        made = []
+
+        def phi(t):
+            made.append(t)
+            return -t
+
+        with pytest.raises(LineSearchError, match=r"trial step .* exceeded cap 1e\+10"):
+            _search(phi, lambda t: -1.0, initial_step=initial_step)
+        assert len(made) - 1 == trials  # the start of the line is not a trial
+        assert made[-1] <= _STEP_CAP < 2.0 * made[-1]
 
     def test_nan_trial_fails_sufficient_decrease(self):
         # dphi = 0 meets the curvature condition at every t > 0, so only the
